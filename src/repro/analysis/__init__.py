@@ -1,72 +1,46 @@
-"""Domain-aware static analysis (``reprolint``) for this codebase.
+"""Domain-aware analysis for this codebase: one engine, four targets.
 
 The paper's profit numbers rest on numerically delicate machinery —
 big-M step-TUF constraints (Eqs. 11-16), M/M/1 stability boundaries
 (Eq. 1), and per-slot re-solves — where a float-equality check, an
-unseeded RNG, or an unpicklable object crossing the process-pool
-boundary corrupts results *silently* instead of crashing.  This package
-is the correctness tooling that keeps those bug classes out of the tree:
+unseeded RNG, a loose big-M or an unverified solve corrupts results
+*silently* instead of crashing.  This package is the correctness
+tooling that keeps those bug classes out, as one rule engine over four
+targets (see :mod:`repro.analysis.engine`):
 
-* :mod:`repro.analysis.diagnostics` — finding datatypes and text/JSON
-  rendering;
-* :mod:`repro.analysis.registry`    — the rule registry (``Rule`` base
-  class, ``@register``, per-rule ``RP0xx`` codes);
-* :mod:`repro.analysis.rules`       — the domain rules themselves
-  (``RP001``..``RP006``);
-* :mod:`repro.analysis.suppression` — inline ``# reprolint:
-  disable=RP0xx`` handling;
-* :mod:`repro.analysis.runner`      — file walking, parsing, and rule
-  dispatch (``lint_paths`` / ``lint_source``);
-* :mod:`repro.analysis.baseline`    — findings baseline files so
-  pre-existing debt can be frozen without blocking CI on new findings;
-* :mod:`repro.analysis.cli`         — the ``repro lint`` subcommand;
-* :mod:`repro.analysis.model`       — the *formulation auditor*
-  (``repro audit``): static ``MD0xx`` passes over a built slot
-  LP/MILP (big-M tightness, dimensional consistency, matrix
-  diagnostics, feasibility pre-checks);
-* :mod:`repro.analysis.report`      — the shared finding base class,
-  renderers, exit codes, and findings-baseline machinery the whole
-  family builds on;
-* :mod:`repro.analysis.arch`        — the *architecture auditor*
-  (``repro arch``): ``AR0xx`` passes over the import graph (layer
-  contracts, cycles, the ``API_SURFACE.json`` lock, dead code,
+* ``RP0xx`` — the *source* (``repro lint``): :mod:`.rules`, run by
+  :mod:`.runner` (``lint_paths`` / ``lint_source``) with inline
+  ``# reprolint: disable=...`` directives (:mod:`.suppression`);
+* ``AR0xx`` — the *import tree* (``repro arch``): :mod:`.arch`
+  (layer contracts, cycles, the ``API_SURFACE.json`` lock, dead code,
   hot-path purity);
-* :mod:`repro.analysis.check`       — the ``repro check`` umbrella
-  (lint + arch + audit + certify, worst-of exit code).
+* ``MD0xx`` — the built slot *problem* (``repro audit``):
+  :mod:`.model` (big-M tightness, units, matrix diagnostics,
+  feasibility pre-checks);
+* ``CT0xx`` — the *solution* (``repro certify``): :mod:`.certify`
+  (primal/dual feasibility, gap, integrality, decomposition).
 
-The AST-lint layer is zero-dependency (stdlib ``ast`` + ``tokenize``),
-in line with the repo's no-new-packages policy; the model subpackage
-needs :mod:`numpy` and the core builders, so it is *not* imported here
-— import :mod:`repro.analysis.model` explicitly (the CLI does so
-lazily), keeping ``repro lint`` numpy-free.
+:mod:`.report` holds the one :class:`Finding` type, the renderers, the
+findings baselines and the exit codes; :mod:`.cli` builds the four
+subcommands and the ``repro check`` umbrella from the engine.
+
+Importing any ``repro`` subpackage runs ``repro/__init__.py``, which
+loads numpy, scipy and the core solve stack, so no analysis tool is
+dependency-free.  This package adds only the engine and the report
+machinery (stdlib only); each target's rules load on first use, so
+the solve-path hooks (``OptimizerConfig(audit=..., certify=...)``)
+never import the lint rules, the lint runner or the architecture
+auditor.
 """
 
-from repro.analysis.baseline import (
-    Baseline,
-    apply_baseline,
-    read_baseline,
-    write_baseline,
-)
-from repro.analysis.diagnostics import Diagnostic, render_json, render_text
-from repro.analysis.registry import Rule, all_rules, get_rule, register
-from repro.analysis.runner import LintReport, lint_paths, lint_source
-
-# Importing the rules module populates the registry as a side effect.
-from repro.analysis import rules as _rules  # noqa: F401  (registration import)
+from repro.analysis.engine import Report, Rule, all_rules, get_rule, register
+from repro.analysis.report import Finding
 
 __all__ = [
-    "Baseline",
-    "Diagnostic",
-    "apply_baseline",
-    "LintReport",
+    "Finding",
+    "Report",
     "Rule",
     "all_rules",
     "get_rule",
-    "lint_paths",
-    "lint_source",
-    "read_baseline",
     "register",
-    "render_json",
-    "render_text",
-    "write_baseline",
 ]

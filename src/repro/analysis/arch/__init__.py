@@ -1,10 +1,10 @@
 """Architecture auditor (``repro arch``): the ``AR0xx`` code space.
 
-Fourth member of the analysis family — reprolint (``RP0xx``) reads
-the source, the formulation auditor (``MD0xx``) reads the problem,
-the certifier (``CT0xx``) reads the solution, and this tool reads the
-*codebase structure*: a zero-dependency AST pass over the whole tree
-that enforces the declared architecture instead of trusting review to
+The tree target of the analysis engine — reprolint (``RP0xx``)
+reads the source, the formulation auditor (``MD0xx``) reads the
+problem, the certifier (``CT0xx``) reads the solution, and this tool
+reads the *codebase structure*: an AST pass over the whole tree that
+enforces the declared architecture instead of trusting review to
 remember it.
 
 Rule families:
@@ -23,24 +23,17 @@ Rule families:
   loop-invariant allocations.
 
 Importing this package registers every rule; :func:`audit_tree` is
-the library entry point, :mod:`repro.analysis.arch.cli` the gate.
+the library entry point, ``repro arch`` (:mod:`repro.analysis.cli`)
+the gate.
 """
 
-from repro.analysis.arch.audit import ArchReport, audit_tree
+from repro.analysis.arch.audit import ArchContext, audit_tree
 from repro.analysis.arch.contract import (
     DEFAULT_CONTRACT,
     LayerContract,
     default_contract,
 )
 from repro.analysis.arch.graph import build_tree_index, resolve_export
-from repro.analysis.arch.registry import (
-    ArchContext,
-    ArchFinding,
-    ArchRule,
-    all_arch_rules,
-    get_arch_rule,
-    register_arch,
-)
 from repro.analysis.arch.surface import build_api_surface, render_api_surface
 
 # Rule modules register on import; the catalog is complete as soon as
@@ -48,22 +41,15 @@ from repro.analysis.arch.surface import build_api_surface, render_api_surface
 from repro.analysis.arch import deadcode as _deadcode  # noqa: F401
 from repro.analysis.arch import layers as _layers  # noqa: F401
 from repro.analysis.arch import purity as _purity  # noqa: F401
-from repro.analysis.arch import surface as _surface  # noqa: F401
 
 __all__ = [
     "ArchContext",
-    "ArchFinding",
-    "ArchReport",
-    "ArchRule",
     "DEFAULT_CONTRACT",
     "LayerContract",
-    "all_arch_rules",
     "audit_tree",
     "build_api_surface",
     "build_tree_index",
     "default_contract",
-    "get_arch_rule",
-    "register_arch",
     "render_api_surface",
     "resolve_export",
 ]

@@ -1,12 +1,12 @@
-"""Run every architecture rule over a tree: the ``ArchReport`` API.
+"""The tree target's runner: run every ``AR0xx`` rule over a tree.
 
 :func:`audit_tree` is the single entry point shared by the CLI, the
 CI gate, and the tests: parse the tree once, build the usage index
 over the tree plus the usage roots (``tests/``, ``benchmarks/``,
 ``examples/`` when present), hand every registered rule the shared
-:class:`~repro.analysis.arch.registry.ArchContext`, honor inline
-``# reprolint: disable=AR0xx`` directives for file-anchored findings,
-and return an :class:`ArchReport`.
+:class:`ArchContext`, honor inline ``# reprolint: disable=AR0xx``
+directives for file-anchored findings, and return a
+:class:`~repro.analysis.engine.Report`.
 
 Like reprolint (and unlike the numeric auditors), the gate is
 *any finding* — warnings and info findings fail ``repro arch`` too,
@@ -25,18 +25,12 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.arch.contract import DEFAULT_CONTRACT, LayerContract
 from repro.analysis.arch.graph import (
     TreeIndex,
+    UsageIndex,
     build_tree_index,
     build_usage_index,
 )
-from repro.analysis.arch.registry import (
-    ArchContext,
-    ArchFinding,
-    all_arch_rules,
-)
-from repro.analysis.report import (
-    render_findings_json,
-    render_findings_text,
-)
+from repro.analysis.engine import TREE, Report
+from repro.analysis.report import Finding
 from repro.analysis.suppression import (
     SuppressionError,
     SuppressionIndex,
@@ -44,7 +38,7 @@ from repro.analysis.suppression import (
 )
 
 __all__ = [
-    "ArchReport",
+    "ArchContext",
     "DEFAULT_USAGE_ROOTS",
     "audit_tree",
     "load_api_baseline",
@@ -57,29 +51,32 @@ DEFAULT_USAGE_ROOTS = ("tests", "benchmarks", "examples")
 
 
 @dataclass
-class ArchReport:
-    """Outcome of one architecture audit."""
+class ArchContext:
+    """Everything a rule may need about the tree under audit.
 
-    findings: List[ArchFinding] = field(default_factory=list)
-    suppressed: int = 0
-    api_surface: Dict[str, object] = field(default_factory=dict)
-    details: Dict[str, object] = field(default_factory=dict)
+    Attributes
+    ----------
+    index:
+        The parsed module table and import graph.
+    contract:
+        The layer contract in force (tests inject synthetic ones).
+    usage:
+        Name-usage harvested from the tree plus the usage roots
+        (tests/, benchmarks/, examples/) so test-only consumers keep
+        an export alive.
+    api_baseline:
+        The committed API-surface snapshot (parsed JSON), or ``None``
+        when no baseline is available — the surface rules then only
+        record coverage, they cannot diff.
+    """
 
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-    @property
-    def errors(self) -> List[ArchFinding]:
-        return [f for f in self.findings if f.severity == "error"]
-
-    def render_text(self) -> str:
-        return render_findings_text(self.findings)
-
-    def render_json(self) -> str:
-        details = dict(self.details)
-        details["suppressed"] = self.suppressed
-        return render_findings_json(self.findings, details=details)
+    index: TreeIndex
+    contract: LayerContract
+    usage: UsageIndex
+    api_baseline: Optional[Dict] = None
+    #: Populated by the surface rule: the live snapshot, counted in
+    #: the report's ``surface_modules`` detail.
+    api_surface: Dict = field(default_factory=dict)
 
 
 def load_api_baseline(path: str) -> Dict[str, object]:
@@ -129,7 +126,7 @@ def audit_tree(
     usage_paths: Optional[Sequence[str]] = None,
     api_baseline: Optional[Dict[str, object]] = None,
     api_baseline_path: Optional[str] = None,
-) -> ArchReport:
+) -> Report:
     """Audit the tree under ``paths`` with every registered rule.
 
     ``contract`` defaults to the repo's declared layering; tests
@@ -137,7 +134,9 @@ def audit_tree(
     paths without touching the real tree.  ``api_baseline`` (a parsed
     snapshot) wins over ``api_baseline_path`` (a file); when neither
     is given the surface rules only record the live snapshot — a tree
-    cannot drift from a baseline it does not have.
+    cannot drift from a baseline it does not have.  The report's
+    ``details`` describe the tree (modules, eager edges, hot modules,
+    surface modules, usage roots) and count ``suppressed`` findings.
     """
     active_contract = contract if contract is not None else DEFAULT_CONTRACT
     index = build_tree_index(paths)
@@ -160,12 +159,12 @@ def audit_tree(
         usage=usage,
         api_baseline=baseline,
     )
-    raw: List[ArchFinding] = []
-    for rule in all_arch_rules():
+    raw: List[Finding] = []
+    for rule in TREE.rules():
         raw.extend(rule.check(ctx))
 
     cache: Dict[str, SuppressionIndex] = {}
-    kept: List[ArchFinding] = []
+    kept: List[Finding] = []
     suppressed = 0
     for finding in raw:
         if finding.path:
@@ -192,10 +191,6 @@ def audit_tree(
         if isinstance(surface_modules, dict) else 0,
         "api_baseline": baseline_source or "none",
         "usage_roots": roots,
+        "suppressed": suppressed,
     }
-    return ArchReport(
-        findings=kept,
-        suppressed=suppressed,
-        api_surface=ctx.api_surface,
-        details=details,
-    )
+    return Report(target=TREE, findings=kept, details=details)

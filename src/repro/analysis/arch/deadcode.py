@@ -21,6 +21,7 @@ import ast
 import re
 from typing import Iterator, Set, Tuple
 
+from repro.analysis.arch.audit import ArchContext
 from repro.analysis.arch.graph import (
     DefInfo,
     ModuleInfo,
@@ -28,12 +29,8 @@ from repro.analysis.arch.graph import (
     UsageIndex,
     resolve_export,
 )
-from repro.analysis.arch.registry import (
-    ArchContext,
-    ArchFinding,
-    ArchRule,
-    register_arch,
-)
+from repro.analysis.engine import Rule, register
+from repro.analysis.report import Finding
 
 __all__ = ["DeadExportRule", "OrphanCodeRule"]
 
@@ -47,7 +44,7 @@ def _is_registered(definition: DefInfo) -> bool:
 
     Registration decorators follow the ``register*`` naming convention
     throughout the tree (``@register``, ``@register_scenario``,
-    ``@register_subcommand``, ``@register_arch``); inert decorators
+    ``@register_subcommand``); inert decorators
     (``@dataclass``, ``@lru_cache``) transform without consuming.
     """
     return any(
@@ -121,8 +118,8 @@ def _root_public_defs(index: TreeIndex) -> Set[_DefKey]:
     }
 
 
-@register_arch
-class DeadExportRule(ArchRule):
+@register
+class DeadExportRule(Rule):
     code = "AR030"
     name = "dead-export"
     codes = {
@@ -137,7 +134,7 @@ class DeadExportRule(ArchRule):
         "unreferenced and should be deleted or demoted to private."
     )
 
-    def check(self, ctx: ArchContext) -> Iterator[ArchFinding]:
+    def check(self, ctx: ArchContext) -> Iterator[Finding]:
         index = ctx.index
         used = _collect_used_defs(index, ctx.usage)
         public = _root_public_defs(index)
@@ -168,7 +165,7 @@ class DeadExportRule(ArchRule):
                     # part of the API's type vocabulary.
                     continue
                 anchor = index.modules.get(resolved.module, info)
-                yield ArchFinding(
+                yield Finding(
                     code="AR030",
                     severity="warning",
                     component=f"export[{info.name}.{name}]",
@@ -237,8 +234,8 @@ def _identifier_parts(text: str) -> Iterator[str]:
             token = ""
 
 
-@register_arch
-class OrphanCodeRule(ArchRule):
+@register
+class OrphanCodeRule(Rule):
     code = "AR031"
     name = "orphan-code"
     codes = {
@@ -253,7 +250,7 @@ class OrphanCodeRule(ArchRule):
         "deliberate oracle with a reprolint directive."
     )
 
-    def check(self, ctx: ArchContext) -> Iterator[ArchFinding]:
+    def check(self, ctx: ArchContext) -> Iterator[Finding]:
         index = ctx.index
         usage = ctx.usage
         imported_pairs = {
@@ -270,7 +267,7 @@ class OrphanCodeRule(ArchRule):
                     continue
                 if (info.name, definition.name) in usage.imported:
                     continue
-                yield ArchFinding(
+                yield Finding(
                     code="AR031",
                     severity="warning",
                     component=f"private[{info.name}.{definition.name}]",
@@ -293,7 +290,7 @@ class OrphanCodeRule(ArchRule):
                 or info.name in imported_pairs
             ):
                 continue
-            yield ArchFinding(
+            yield Finding(
                 code="AR031",
                 severity="warning",
                 component=f"module[{info.name}]",

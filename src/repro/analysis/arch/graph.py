@@ -399,7 +399,7 @@ class _ModuleExtractor:
         if name.startswith("__") and name.endswith("__"):
             return
         # Module-level name aliasing an existing def keeps the alias
-        # chain intact: `render_model_text = render_findings_text`.
+        # chain intact: `render_text = render_findings_text`.
         if (
             value is not None
             and isinstance(value, ast.Name)

@@ -13,19 +13,16 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Set, Tuple
 
+from repro.analysis.arch.audit import ArchContext
 from repro.analysis.arch.graph import package_of
-from repro.analysis.arch.registry import (
-    ArchContext,
-    ArchFinding,
-    ArchRule,
-    register_arch,
-)
+from repro.analysis.engine import Rule, register
+from repro.analysis.report import Finding
 
 __all__ = ["LayerContractRule", "ImportCycleRule"]
 
 
-@register_arch
-class LayerContractRule(ArchRule):
+@register
+class LayerContractRule(Rule):
     code = "AR010"
     name = "layer-contract"
     codes = {
@@ -42,7 +39,7 @@ class LayerContractRule(ArchRule):
         "in the importing package's allowed set fails the gate."
     )
 
-    def check(self, ctx: ArchContext) -> Iterator[ArchFinding]:
+    def check(self, ctx: ArchContext) -> Iterator[Finding]:
         root = ctx.index.root_package
         seen: Set[Tuple[str, str]] = set()
         for edge in ctx.index.eager_edges():
@@ -58,7 +55,7 @@ class LayerContractRule(ArchRule):
             seen.add(key)
             info = ctx.index.modules[edge.source]
             allowed = sorted(ctx.contract.layers.get(source_pkg, ()))
-            yield ArchFinding(
+            yield Finding(
                 code="AR010",
                 severity="error",
                 component=f"layer[{edge.source} -> {edge.target}]",
@@ -79,8 +76,8 @@ class LayerContractRule(ArchRule):
             )
 
 
-@register_arch
-class ImportCycleRule(ArchRule):
+@register
+class ImportCycleRule(Rule):
     code = "AR011"
     name = "import-cycle"
     codes = {
@@ -95,7 +92,7 @@ class ImportCycleRule(ArchRule):
         "layer contract allows."
     )
 
-    def check(self, ctx: ArchContext) -> Iterator[ArchFinding]:
+    def check(self, ctx: ArchContext) -> Iterator[Finding]:
         modules = ctx.index.modules
         graph: Dict[str, List[str]] = {}
         for edge in ctx.index.eager_edges():
@@ -120,7 +117,7 @@ class ImportCycleRule(ArchRule):
             if len(component) < 2:
                 continue
             members = sorted(component)
-            yield ArchFinding(
+            yield Finding(
                 code="AR011",
                 severity="error",
                 component=f"cycle[{' <-> '.join(members)}]",

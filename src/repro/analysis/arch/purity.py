@@ -22,13 +22,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Sequence, Set, Union
 
+from repro.analysis.arch.audit import ArchContext
 from repro.analysis.arch.graph import ModuleInfo
-from repro.analysis.arch.registry import (
-    ArchContext,
-    ArchFinding,
-    ArchRule,
-    register_arch,
-)
+from repro.analysis.engine import Rule, register
+from repro.analysis.report import Finding
 
 __all__ = ["HotPathPurityRule"]
 
@@ -124,7 +121,7 @@ def _subscript_assigns_by(body: Sequence[ast.stmt], names: Set[str]) -> int:
 class _PurityVisitor(ast.NodeVisitor):
     def __init__(self, info: ModuleInfo) -> None:
         self.info = info
-        self.findings: List[ArchFinding] = []
+        self.findings: List[Finding] = []
         self._loops: List[Set[str]] = []  # names rebound per open loop
 
     # -- loops ----------------------------------------------------------
@@ -143,7 +140,7 @@ class _PurityVisitor(ast.NodeVisitor):
         ):
             line = _subscript_assigns_by(node.body, targets)
             if line:
-                self.findings.append(ArchFinding(
+                self.findings.append(Finding(
                     code="AR041",
                     severity="info",
                     component=(
@@ -167,7 +164,7 @@ class _PurityVisitor(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in _DENSIFIERS:
-            self.findings.append(ArchFinding(
+            self.findings.append(Finding(
                 code="AR040",
                 severity="warning",
                 component=f"dense[{self.info.name}:{node.lineno}]",
@@ -182,7 +179,7 @@ class _PurityVisitor(ast.NodeVisitor):
             ))
         elif _is_numpy_call(node, {"asarray", "array"}) and node.args:
             if any(_mentions_sparse(arg) for arg in node.args):
-                self.findings.append(ArchFinding(
+                self.findings.append(Finding(
                     code="AR040",
                     severity="warning",
                     component=f"dense[{self.info.name}:{node.lineno}]",
@@ -205,7 +202,7 @@ class _PurityVisitor(ast.NodeVisitor):
                 free |= _free_names(arg)
             if not (free & rebound):
                 assert isinstance(node.func, ast.Attribute)
-                self.findings.append(ArchFinding(
+                self.findings.append(Finding(
                     code="AR042",
                     severity="info",
                     component=f"alloc[{self.info.name}:{node.lineno}]",
@@ -222,8 +219,8 @@ class _PurityVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@register_arch
-class HotPathPurityRule(ArchRule):
+@register
+class HotPathPurityRule(Rule):
     code = "AR040"
     name = "hot-path-purity"
     codes = {
@@ -242,7 +239,7 @@ class HotPathPurityRule(ArchRule):
         "instead."
     )
 
-    def check(self, ctx: ArchContext) -> Iterator[ArchFinding]:
+    def check(self, ctx: ArchContext) -> Iterator[Finding]:
         for info in ctx.index.modules.values():
             if not ctx.contract.is_hot(info.name):
                 continue

@@ -20,13 +20,10 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterator, List
 
+from repro.analysis.arch.audit import ArchContext
 from repro.analysis.arch.graph import TreeIndex, resolve_export
-from repro.analysis.arch.registry import (
-    ArchContext,
-    ArchFinding,
-    ArchRule,
-    register_arch,
-)
+from repro.analysis.engine import Rule, register
+from repro.analysis.report import Finding
 
 __all__ = [
     "ApiSurfaceRule",
@@ -72,8 +69,8 @@ def _diff_keys(
     return changed
 
 
-@register_arch
-class ApiSurfaceRule(ArchRule):
+@register
+class ApiSurfaceRule(Rule):
     code = "AR020"
     name = "api-surface"
     codes = {
@@ -90,7 +87,7 @@ class ApiSurfaceRule(ArchRule):
         "acknowledged by refreshing the baseline."
     )
 
-    def check(self, ctx: ArchContext) -> Iterator[ArchFinding]:
+    def check(self, ctx: ArchContext) -> Iterator[Finding]:
         live = build_api_surface(ctx.index)
         ctx.api_surface = live
         baseline = ctx.api_baseline
@@ -102,7 +99,7 @@ class ApiSurfaceRule(ArchRule):
         for module in sorted(base_modules):
             base_entries = base_modules[module]
             if module not in live_modules:
-                yield ArchFinding(
+                yield Finding(
                     code="AR020",
                     severity="error",
                     component=f"api[{module}]",
@@ -118,7 +115,7 @@ class ApiSurfaceRule(ArchRule):
             live_entries = live_modules[module]
             for name in sorted(base_entries):
                 if name not in live_entries:
-                    yield ArchFinding(
+                    yield Finding(
                         code="AR020",
                         severity="error",
                         component=f"api[{module}.{name}]",
@@ -132,7 +129,7 @@ class ApiSurfaceRule(ArchRule):
                     continue
                 changed = _diff_keys(base_entries[name], live_entries[name])
                 if changed:
-                    yield ArchFinding(
+                    yield Finding(
                         code="AR020",
                         severity="error",
                         component=f"api[{module}.{name}]",
@@ -146,7 +143,7 @@ class ApiSurfaceRule(ArchRule):
                     )
             undeclared = sorted(set(live_entries) - set(base_entries))
             for name in undeclared:
-                yield ArchFinding(
+                yield Finding(
                     code="AR021",
                     severity="warning",
                     component=f"api[{module}.{name}]",
@@ -159,7 +156,7 @@ class ApiSurfaceRule(ArchRule):
                 )
         for module in sorted(set(live_modules) - set(base_modules)):
             names = sorted(live_modules[module])
-            yield ArchFinding(
+            yield Finding(
                 code="AR021",
                 severity="warning",
                 component=f"api[{module}]",

@@ -1,17 +1,14 @@
-"""Optimality-certificate verifier (``repro certify``) for solve paths.
+"""Optimality-certificate verifier: the solution target (``CT0xx``) of
+the analysis engine.
 
-Third member of the analysis triad, with its own ``CT0xx`` code space:
-
-* ``repro.analysis`` (``repro lint``, ``RP0xx``) statically checks the
-  *source code*;
-* ``repro.analysis.model`` (``repro audit``, ``MD0xx``) statically
-  checks the *built slot problem* before solving;
-* this package (``repro certify``, ``CT0xx``) independently verifies
-  the *solved answer*: primal feasibility, dual feasibility and
-  reduced-cost signs, complementary slackness and the duality gap,
-  MILP incumbent integrality and bound sandwiches, and the sparse
-  path's decomposition/collapse invariants — all recomputed from the
-  problem data, trusting no solver-reported residual.
+Where :mod:`repro.analysis.rules` reads the *source code* and
+:mod:`repro.analysis.model` the *built slot problem* before solving,
+this package independently verifies the *solved answer*: primal
+feasibility, dual feasibility and reduced-cost signs, complementary
+slackness and the duality gap, MILP incumbent integrality and bound
+sandwiches, and the sparse path's decomposition/collapse invariants —
+all recomputed from the problem data, trusting no solver-reported
+residual.
 
 Three entry points, mirroring the auditor:
 
@@ -20,51 +17,18 @@ Three entry points, mirroring the auditor:
   ``plan_slot`` (findings land on ``SlotTrace.certificates``);
 * ``repro certify`` — the CLI gate (exit 1 on CT-level errors).
 
-Like :mod:`repro.analysis.model`, this package needs :mod:`numpy` and
-the core builders, so it is *not* imported from
-:mod:`repro.analysis` — import it explicitly (the CLI does so lazily),
-keeping ``repro lint`` numpy-free.
+Importing the package registers every check (:mod:`.checks`).
 """
 
-from repro.analysis.certify.certify import CertifyReport, certify_solution
-from repro.analysis.certify.checks import (
-    DecompositionCertificateRule,
-    DualCertificateRule,
-    GapCertificateRule,
-    IntegralityCertificateRule,
-    PrimalCertificateRule,
-)
-from repro.analysis.certify.findings import (
-    SEVERITIES,
-    CertFinding,
-    render_certify_json,
-    render_certify_text,
-)
-from repro.analysis.certify.registry import (
+from repro.analysis.certify.certify import (
     CertifyContext,
-    CertifyRule,
     CertifyThresholds,
-    all_certify_rules,
-    get_certify_rule,
-    register_certify,
+    certify_solution,
 )
+from repro.analysis.certify import checks as _checks  # noqa: F401  (registration import)
 
 __all__ = [
-    "CertFinding",
     "CertifyContext",
-    "CertifyReport",
-    "CertifyRule",
     "CertifyThresholds",
-    "DecompositionCertificateRule",
-    "DualCertificateRule",
-    "GapCertificateRule",
-    "IntegralityCertificateRule",
-    "PrimalCertificateRule",
-    "SEVERITIES",
-    "all_certify_rules",
     "certify_solution",
-    "get_certify_rule",
-    "register_certify",
-    "render_certify_json",
-    "render_certify_text",
 ]

@@ -24,12 +24,9 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.analysis.certify.findings import CertFinding
-from repro.analysis.certify.registry import (
-    CertifyContext,
-    CertifyRule,
-    register_certify,
-)
+from repro.analysis.certify.certify import CertifyContext
+from repro.analysis.engine import Rule, register
+from repro.analysis.report import Finding
 
 __all__ = [
     "PrimalCertificateRule",
@@ -40,8 +37,8 @@ __all__ = [
 ]
 
 
-@register_certify
-class PrimalCertificateRule(CertifyRule):
+@register
+class PrimalCertificateRule(Rule):
     code = "CT010"
     codes = {
         "CT010": "solution violates a variable bound (or is non-finite)",
@@ -55,7 +52,7 @@ class PrimalCertificateRule(CertifyRule):
         "big-M rows and \\$-scale objectives are judged fairly."
     )
 
-    def check(self, ctx: CertifyContext) -> Iterator[CertFinding]:
+    def check(self, ctx: CertifyContext) -> Iterator[Finding]:
         x = ctx.x
         tol = ctx.thresholds.feas_tol
         if not np.all(np.isfinite(x)):
@@ -117,8 +114,8 @@ class PrimalCertificateRule(CertifyRule):
                 )
 
 
-@register_certify
-class DualCertificateRule(CertifyRule):
+@register
+class DualCertificateRule(Rule):
     code = "CT020"
     codes = {
         "CT020": "dual multiplier has the wrong sign (or is non-finite)",
@@ -134,7 +131,7 @@ class DualCertificateRule(CertifyRule):
         "claimed dual certificate proves nothing."
     )
 
-    def check(self, ctx: CertifyContext) -> Iterator[CertFinding]:
+    def check(self, ctx: CertifyContext) -> Iterator[Finding]:
         if not ctx.has_duals:
             return
         scale = ctx.objective_scale
@@ -200,8 +197,8 @@ class DualCertificateRule(CertifyRule):
             )
 
 
-@register_certify
-class GapCertificateRule(CertifyRule):
+@register
+class GapCertificateRule(Rule):
     code = "CT030"
     codes = {
         "CT030": "complementary slackness violated on a row",
@@ -217,7 +214,7 @@ class GapCertificateRule(CertifyRule):
         "is feasible."
     )
 
-    def check(self, ctx: CertifyContext) -> Iterator[CertFinding]:
+    def check(self, ctx: CertifyContext) -> Iterator[Finding]:
         if not ctx.has_duals:
             return
         lp = ctx.lp
@@ -279,8 +276,8 @@ class GapCertificateRule(CertifyRule):
             )
 
 
-@register_certify
-class IntegralityCertificateRule(CertifyRule):
+@register
+class IntegralityCertificateRule(Rule):
     code = "CT040"
     codes = {
         "CT040": "MILP incumbent has a fractional integer variable",
@@ -295,7 +292,7 @@ class IntegralityCertificateRule(CertifyRule):
         "either always or never fire."
     )
 
-    def check(self, ctx: CertifyContext) -> Iterator[CertFinding]:
+    def check(self, ctx: CertifyContext) -> Iterator[Finding]:
         if ctx.integer_mask is None or not np.any(ctx.integer_mask):
             return
         x = ctx.x
@@ -350,8 +347,8 @@ class IntegralityCertificateRule(CertifyRule):
         return worst
 
 
-@register_certify
-class DecompositionCertificateRule(CertifyRule):
+@register
+class DecompositionCertificateRule(Rule):
     code = "CT050"
     codes = {
         "CT050": "coupling row violated after decomposed block accept",
@@ -366,7 +363,7 @@ class DecompositionCertificateRule(CertifyRule):
         "net profit.  Both invariants are recomputed here end to end."
     )
 
-    def check(self, ctx: CertifyContext) -> Iterator[CertFinding]:
+    def check(self, ctx: CertifyContext) -> Iterator[Finding]:
         lp = ctx.lp
         th = ctx.thresholds
         if ctx.coupling_rows is not None and lp.a_ub is not None:

@@ -1,9 +1,9 @@
-"""Formulation auditor: static analysis of built slot problems.
+"""Formulation auditor: the problem target (``MD0xx``) of the analysis
+engine.
 
-The model-analysis sibling of the AST lint pass (``reprolint``): where
-:mod:`repro.analysis.rules` reads *source code*, this package reads a
-built :class:`~repro.core.formulation.SlotInputs` / LP / MILP and
-reports — never raises, never solves — on an ``MD0xx`` code space:
+Where :mod:`repro.analysis.rules` reads *source code*, this package
+reads a built :class:`~repro.core.formulation.SlotInputs` / LP / MILP
+and reports — never raises, never solves — on an ``MD0xx`` code space:
 
 * **MD010-MD013** (:mod:`.bigm`) — big-M and McCormick tightness
   against the data-driven minima, with tightened constants exposed;
@@ -16,57 +16,28 @@ reports — never raises, never solves — on an ``MD0xx`` code space:
   arrivals).
 
 Entry points: :func:`audit_slot` (programmatic), ``repro audit`` (CLI;
-:mod:`.cli`), and ``OptimizerConfig(audit="warn"|"error")`` (per-slot
-hook in ``plan_slot``).
+:mod:`repro.analysis.cli`), and ``OptimizerConfig(audit="warn"|"error")``
+(per-slot hook in ``plan_slot``).  Importing the package registers
+every pass.
 """
 
-from repro.analysis.model.audit import ModelAuditReport, audit_slot
-from repro.analysis.model.bigm import (  # noqa: F401 - registration
-    BigMTightnessRule,
-    McCormickEnvelopeRule,
-    minimal_big_for_series,
-    recommended_big,
-)
+from repro.analysis.model.audit import AuditContext, AuditThresholds, audit_slot
+from repro.analysis.model.bigm import minimal_big_for_series, recommended_big
 from repro.analysis.model.feasibility import (  # noqa: F401 - registration
     FeasibilityRule,
 )
-from repro.analysis.model.findings import (
-    ModelFinding,
-    render_model_json,
-    render_model_text,
-)
-from repro.analysis.model.matrix import (  # noqa: F401 - registration
-    MatrixDiagnosticsRule,
-    analyze_program,
-)
-from repro.analysis.model.registry import (
-    AuditContext,
-    AuditRule,
-    AuditThresholds,
-    all_audit_rules,
-    get_audit_rule,
-)
-from repro.analysis.model.units import (  # noqa: F401 - registration
-    Unit,
-    UnitsRule,
-)
+from repro.analysis.model.matrix import analyze_program
+from repro.analysis.model.units import Unit
 
 # Dropped from this surface (AR030 dead exports): tight_lambda_bound,
 # check_homogeneity, default_unit_registry, formulation_term_table —
 # still importable from their defining modules for interactive use.
 __all__ = [
-    "ModelAuditReport",
-    "ModelFinding",
-    "audit_slot",
-    "render_model_text",
-    "render_model_json",
     "AuditContext",
-    "AuditRule",
     "AuditThresholds",
-    "all_audit_rules",
-    "get_audit_rule",
+    "Unit",
+    "analyze_program",
+    "audit_slot",
     "minimal_big_for_series",
     "recommended_big",
-    "analyze_program",
-    "Unit",
 ]

@@ -25,12 +25,9 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from repro.analysis.model.findings import ModelFinding
-from repro.analysis.model.registry import (
-    AuditContext,
-    AuditRule,
-    register_audit,
-)
+from repro.analysis.engine import Rule, register
+from repro.analysis.model.audit import AuditContext
+from repro.analysis.report import Finding
 from repro.core.bigm import bigm_constraint_series
 
 __all__ = [
@@ -151,8 +148,8 @@ def tight_lambda_bound(ctx: AuditContext) -> np.ndarray:
     return np.minimum(offered[:, None], np.clip(safe, 0.0, None))
 
 
-@register_audit
-class BigMTightnessRule(AuditRule):
+@register
+class BigMTightnessRule(Rule):
     """MD010/MD011 — configured big-M vs. the data-driven minimum."""
 
     code = "MD010"
@@ -172,7 +169,7 @@ class BigMTightnessRule(AuditRule):
         "the tightened constant."
     )
 
-    def check(self, ctx: AuditContext) -> Iterator[ModelFinding]:
+    def check(self, ctx: AuditContext) -> Iterator[Finding]:
         limit = ctx.thresholds.bigm_ratio_limit
         for rc in ctx.inputs.topology.request_classes:
             tuf = rc.tuf
@@ -224,8 +221,8 @@ class BigMTightnessRule(AuditRule):
         return out
 
 
-@register_audit
-class McCormickEnvelopeRule(AuditRule):
+@register
+class McCormickEnvelopeRule(Rule):
     """MD012/MD013 — MILP McCormick bounds vs. the tight load bound."""
 
     code = "MD012"
@@ -244,7 +241,7 @@ class McCormickEnvelopeRule(AuditRule):
         "the deadline-aware capacity min(offered, M*(C*mu - 1/D))."
     )
 
-    def check(self, ctx: AuditContext) -> Iterator[ModelFinding]:
+    def check(self, ctx: AuditContext) -> Iterator[Finding]:
         if not ctx.multilevel:
             return
         topo = ctx.inputs.topology

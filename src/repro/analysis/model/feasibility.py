@@ -26,19 +26,16 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.analysis.model.findings import ModelFinding
-from repro.analysis.model.registry import (
-    AuditContext,
-    AuditRule,
-    register_audit,
-)
+from repro.analysis.engine import Rule, register
+from repro.analysis.model.audit import AuditContext
+from repro.analysis.report import Finding
 from repro.core.formulation import feasibility_margin
 
 __all__ = ["FeasibilityRule"]
 
 
-@register_audit
-class FeasibilityRule(AuditRule):
+@register
+class FeasibilityRule(Rule):
     """MD040-MD045 — solve-free feasibility and right-sizing checks."""
 
     code = "MD040"
@@ -62,7 +59,7 @@ class FeasibilityRule(AuditRule):
         "solve can achieve."
     )
 
-    def check(self, ctx: AuditContext) -> Iterator[ModelFinding]:
+    def check(self, ctx: AuditContext) -> Iterator[Finding]:
         topo = ctx.topology
         deadlines = ctx.effective_deadlines()  # (K,)
         mu = topo.service_rates  # (K, L)

@@ -21,12 +21,9 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 from scipy import sparse as _sp
 
-from repro.analysis.model.findings import ModelFinding
-from repro.analysis.model.registry import (
-    AuditContext,
-    AuditRule,
-    register_audit,
-)
+from repro.analysis.engine import Rule, register
+from repro.analysis.model.audit import AuditContext
+from repro.analysis.report import Finding
 from repro.cloud.topology import CloudTopology
 from repro.solvers.base import LinearProgram
 
@@ -140,14 +137,14 @@ def _interval_bounds(
 def analyze_program(
     lp: LinearProgram,
     prefix: str,
-    make: Callable[..., ModelFinding],
+    make: Callable[..., Finding],
     row_decades_limit: float = 6.0,
     row_labels: Optional[List[str]] = None,
     var_labels: Optional[List[str]] = None,
-) -> Iterator[ModelFinding]:
+) -> Iterator[Finding]:
     """Run MD030-MD036 over one program; ``make`` builds the findings.
 
-    ``make`` is :meth:`AuditRule.finding` (kept injectable so the checks
+    ``make`` is :meth:`Rule.finding` (kept injectable so the checks
     stay importable without the registry).  Labels default to positional
     ``row[i]`` / ``x[j]`` names.
     """
@@ -286,8 +283,8 @@ def matrix_details(lp: LinearProgram) -> dict:
     }
 
 
-@register_audit
-class MatrixDiagnosticsRule(AuditRule):
+@register
+class MatrixDiagnosticsRule(Rule):
     """MD030-MD036 — scaling, structure, and certificate checks."""
 
     code = "MD030"
@@ -311,7 +308,7 @@ class MatrixDiagnosticsRule(AuditRule):
         "reductions as pure reporting."
     )
 
-    def check(self, ctx: AuditContext) -> Iterator[ModelFinding]:
+    def check(self, ctx: AuditContext) -> Iterator[Finding]:
         limit = ctx.thresholds.row_decades_limit
         lp = ctx.lp()
         if lp is not None:

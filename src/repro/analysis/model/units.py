@@ -23,12 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.model.findings import ModelFinding
-from repro.analysis.model.registry import (
-    AuditContext,
-    AuditRule,
-    register_audit,
-)
+from repro.analysis.engine import Rule, register
+from repro.analysis.model.audit import AuditContext
+from repro.analysis.report import Finding
 
 __all__ = [
     "Unit",
@@ -217,8 +214,8 @@ def _render_term(term: Term) -> str:
     )
 
 
-@register_audit
-class UnitsRule(AuditRule):
+@register
+class UnitsRule(Rule):
     """MD020/MD021 — dimensional homogeneity of objective/constraints."""
 
     code = "MD020"
@@ -246,7 +243,7 @@ class UnitsRule(AuditRule):
         self._registry = registry
         self._table = table
 
-    def check(self, ctx: AuditContext) -> Iterator[ModelFinding]:
+    def check(self, ctx: AuditContext) -> Iterator[Finding]:
         registry = self._registry or default_unit_registry()
         table = self._table or formulation_term_table()
         lookup = {family: terms for family, _, terms in table}

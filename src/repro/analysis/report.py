@@ -1,35 +1,25 @@
-"""Shared report machinery for the analysis tool family.
+"""Findings, renderers, baselines and exit codes for the analysis engine.
 
-Four sibling tools read four different artifacts — ``reprolint``
-(``RP0xx``) reads the *source*, the formulation auditor (``MD0xx``)
-reads the *problem*, the certifier (``CT0xx``) reads the *solution*,
-and the architecture auditor (``AR0xx``) reads the *codebase
-structure* — but they report the same way: a stable per-tool code
-space, a severity ladder, sorted text/JSON renderers, findings
-baselines that freeze deliberate debt, and the ``0/1/2`` exit-code
-gate convention.  That machinery used to be triplicated across
-:mod:`repro.analysis.diagnostics`, :mod:`repro.analysis.model.findings`
-and :mod:`repro.analysis.certify.findings`; this module is the single
-implementation all four delegate to.
+Four targets read four different artifacts — the *source* (``RP0xx``),
+the built slot *problem* (``MD0xx``), its *solution* (``CT0xx``) and the
+import *tree* (``AR0xx``) — but they report the same way, through this
+module:
 
-Contents:
-
-* :class:`Finding` — the severity-carrying finding base class
-  (``ModelFinding``/``CertFinding``/``ArchFinding`` subclass it by
-  setting the ``CODE_PREFIX``/``CODE_LABEL`` class vars);
+* :class:`Finding` — the one finding type.  Most findings anchor to a
+  named *component* (``"bigm[request1]"``, ``"layer[core -> sim]"``)
+  and carry a severity; source findings anchor to ``path:line:col``
+  instead and leave ``component`` empty.  Architecture findings carry
+  both: a component plus the file anchor that inline directives match;
 * :func:`render_findings_text` / :func:`render_findings_json` — the
-  shared renderers (identical output to the pre-extraction per-tool
-  renderers, pinned by the existing CLI tests);
-* :class:`FindingsBaseline` + :func:`write_findings_baseline` /
-  :func:`read_findings_baseline` / :func:`apply_findings_baseline` —
-  the generic multiset baseline engine (`repro.analysis.baseline`
-  wraps it with the reprolint fingerprint and file format);
+  sorted text and JSON renderers;
+* :class:`Baseline` + :func:`write_baseline` / :func:`read_baseline` /
+  :func:`apply_baseline` — findings baselines that freeze deliberate
+  debt (a multiset of fingerprints);
 * ``EXIT_CLEAN`` / ``EXIT_FINDINGS`` / ``EXIT_USAGE`` and
-  :func:`worst_exit_code` — the exit-code convention, including the
-  worst-of combinator ``repro check`` uses.
+  :func:`worst_exit_code` — the ``0/1/2`` gate convention, including
+  the worst-of combinator ``repro check`` uses.
 
-Zero-dependency on purpose (stdlib only), like the lint layer it
-serves.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -38,53 +28,39 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    ClassVar,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.analysis.engine import Target
 
 __all__ = [
     "SEVERITIES",
     "EXIT_CLEAN",
     "EXIT_FINDINGS",
     "EXIT_USAGE",
+    "Baseline",
     "Finding",
-    "FindingsBaseline",
-    "SupportsBaseline",
-    "apply_findings_baseline",
-    "read_findings_baseline",
-    "render_findings_text",
+    "apply_baseline",
+    "read_baseline",
     "render_findings_json",
-    "severity_rank",
+    "render_findings_text",
+    "summarize",
     "worst_exit_code",
-    "write_findings_baseline",
+    "write_baseline",
 ]
 
-#: Severity ladder shared by every severity-carrying tool.  ``error``
-#: findings gate the tool's CLI (exit 1); ``warning``/``info`` report
-#: (the AST tools gate on *any* finding instead — their rules have no
-#: benign severities).
+#: Severity ladder.  ``error`` findings fail the problem and solution
+#: gates; the source and tree gates fail on any finding.
 SEVERITIES = ("error", "warning", "info")
 
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
+
+_CODE_RE = re.compile(r"^[A-Z]{2}\d{3}$")
 
 #: Exit-code convention every analysis CLI follows.
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
-
-
-def severity_rank(severity: str) -> int:
-    """Sort rank of ``severity``: errors first, then warnings, info."""
-    return _SEVERITY_RANK[severity]
 
 
 def worst_exit_code(codes: Iterable[int]) -> int:
@@ -97,94 +73,133 @@ def worst_exit_code(codes: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class Finding:
-    """One component-anchored analysis finding.
-
-    Subclasses pin their code space through class vars:
-    ``CODE_PREFIX`` (``"MD"``, ``"CT"``, ``"AR"``), ``CODE_LABEL``
-    (the human name used in validation errors) and ``COERCE_FLOAT``
-    (whether ``data`` values are forced to floats — the numeric tools
-    do, the architecture auditor carries strings like signatures).
+    """One analysis finding.
 
     Attributes
     ----------
     code:
-        Stable per-tool identifier, e.g. ``MD010`` or ``AR020``.
-    severity:
-        One of :data:`SEVERITIES`.
-    component:
-        The artifact element the finding anchors to, e.g.
-        ``"bigm[request1]"`` or ``"layer[core -> sim]"``.
+        Stable identifier; its prefix names the target (``RP001``,
+        ``MD010``, ``CT020``, ``AR030``).
     message:
         Human-readable description with the offending specifics.
+    severity:
+        One of :data:`SEVERITIES`.  Source findings keep the default:
+        their gate fails on any finding.
+    component:
+        The artifact element the finding anchors to, e.g.
+        ``"bigm[request1]"`` or ``"layer[core -> sim]"``.  Empty for
+        source findings, which anchor to ``path:line:col``.
     data:
-        Machine-readable payload for scripting over JSON reports.
+        Machine-readable payload for scripting over JSON reports;
+        numbers are stored as floats, strings as given.
+    path, line, col:
+        File anchor.  Source findings always have one; architecture
+        findings have one when a file-scoped rule raised them, so
+        inline ``# reprolint: disable=AR0xx`` directives apply.
     """
 
     code: str
-    severity: str
-    component: str
     message: str
+    severity: str = "error"
+    component: str = ""
     data: Dict[str, object] = field(default_factory=dict)
-
-    CODE_PREFIX: ClassVar[str] = ""
-    CODE_LABEL: ClassVar[str] = "analysis"
-    COERCE_FLOAT: ClassVar[bool] = True
+    path: str = ""
+    line: int = 0
+    col: int = 0
 
     def __post_init__(self) -> None:
-        prefix = self.CODE_PREFIX or "[A-Z]{2}"
-        if not re.match(rf"^{prefix}\d{{3}}$", self.code):
+        if not _CODE_RE.match(self.code):
             raise ValueError(
-                f"{self.CODE_LABEL} codes are "
-                f"{self.CODE_PREFIX or 'XX'}xxx, got {self.code!r}"
+                f"finding codes are two capitals and three digits "
+                f"(e.g. RP001, MD010), got {self.code!r}"
             )
         if self.severity not in SEVERITIES:
             raise ValueError(
                 f"severity must be one of {SEVERITIES}, got {self.severity!r}"
             )
-        if self.COERCE_FLOAT:
-            coerced: Dict[str, object] = {
-                str(k): float(v)  # type: ignore[arg-type]
-                for k, v in dict(self.data).items()
-            }
-        else:
-            coerced = {
-                str(k): (v if isinstance(v, str) else float(v))  # type: ignore[arg-type]
-                for k, v in dict(self.data).items()
-            }
+        if not self.component and (self.line < 1 or self.col < 0):
+            raise ValueError(
+                f"bad location {self.line}:{self.col} for {self.code}"
+            )
+        coerced: Dict[str, object] = {
+            str(k): (v if isinstance(v, str) else float(v))  # type: ignore[arg-type]
+            for k, v in dict(self.data).items()
+        }
         object.__setattr__(self, "data", coerced)
 
     @property
-    def sort_key(self) -> Tuple[int, str, str, str]:
-        """Ordering: severity rank, then code, component, message."""
+    def sort_key(self) -> Tuple:
+        """Report order.
+
+        Source findings group by file and read top to bottom (path,
+        line, col, code); component findings list errors first, then
+        by code, component and message.
+        """
+        if not self.component:
+            return (self.path, self.line, self.col, self.code, self.message)
         return (_SEVERITY_RANK[self.severity], self.code,
                 self.component, self.message)
 
     @property
-    def fingerprint(self) -> Tuple[str, ...]:
-        """Baseline-matching key: (component, code).
+    def fingerprint(self) -> Tuple:
+        """Baseline-matching key.
 
-        Deliberately line-free — structural findings must survive
+        ``(path, code, line)`` for source findings; ``(component,
+        code)`` otherwise — line-free, so structural findings survive
         unrelated edits moving code around a file.
         """
+        if not self.component:
+            return (self.path, self.code, self.line)
         return (self.component, self.code)
 
+    def render(self) -> str:
+        """One report line: ``path:line:col: CODE message`` or
+        ``component: severity CODE message``."""
+        if not self.component:
+            return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+        return f"{self.component}: {self.severity} {self.code} {self.message}"
+
     def to_dict(self) -> Dict:
-        """Plain-dict form for ``--format json`` reports and baselines."""
-        return {
+        """Plain-dict form for ``--format json`` reports, baselines and
+        the ``SlotTrace.audit``/``certificates`` records."""
+        if not self.component:
+            return {
+                "path": self.path,
+                "line": self.line,
+                "col": self.col,
+                "code": self.code,
+                "message": self.message,
+            }
+        record: Dict = {
             "code": self.code,
             "severity": self.severity,
             "component": self.component,
             "message": self.message,
             "data": dict(self.data),
         }
+        if self.path:
+            record["path"] = self.path
+            record["line"] = self.line
+        return record
 
 
 def render_findings_text(findings: Iterable[Finding]) -> str:
-    """``component: SEVERITY CODE message`` lines, errors first."""
+    """One :meth:`Finding.render` line per finding, in report order."""
     return "\n".join(
-        f"{f.component}: {f.severity} {f.code} {f.message}"
-        for f in sorted(findings, key=lambda f: f.sort_key)
+        f.render() for f in sorted(findings, key=lambda f: f.sort_key)
     )
+
+
+def summarize(records: Sequence[Dict]) -> Dict[str, int]:
+    """Counts over finding dicts: all, then per severity (source
+    findings have no severity key and count only as findings)."""
+    counts = Counter(record.get("severity") for record in records)
+    return {
+        "findings": len(records),
+        "errors": counts["error"],
+        "warnings": counts["warning"],
+        "info": counts["info"],
+    }
 
 
 def render_findings_json(
@@ -192,22 +207,14 @@ def render_findings_json(
     *,
     details: Optional[Dict] = None,
 ) -> str:
-    """Machine-readable report shared by the severity-carrying CLIs."""
+    """Machine-readable report: findings, severity counts, details."""
     ordered: List[Dict] = [
         f.to_dict() for f in sorted(findings, key=lambda f: f.sort_key)
     ]
-    by_severity = {name: 0 for name in SEVERITIES}
-    for record in ordered:
-        by_severity[record["severity"]] += 1
     return json.dumps(
         {
             "findings": ordered,
-            "summary": {
-                "findings": len(ordered),
-                "errors": by_severity["error"],
-                "warnings": by_severity["warning"],
-                "info": by_severity["info"],
-            },
+            "summary": summarize(ordered),
             "details": details if details is not None else {},
         },
         indent=2,
@@ -221,15 +228,15 @@ def render_findings_json(
 # FILE`` filters findings matching a baseline entry, so deliberately
 # deferred debt does not fail the gate while any *new* finding still
 # does.  Matching is by fingerprint as a multiset: each entry absorbs
-# at most one live finding.
+# at most one live finding.  Regenerate with ``--write-baseline`` after
+# a deliberate decision to defer; docs/DEVELOPMENT.md asks for a
+# tracking note per entry.
 
 _BASELINE_VERSION = 1
 
-Fingerprint = Tuple[object, ...]
-
 
 @dataclass
-class FindingsBaseline:
+class Baseline:
     """A multiset of accepted finding fingerprints."""
 
     entries: Counter = field(default_factory=Counter)
@@ -238,35 +245,20 @@ class FindingsBaseline:
         return int(sum(self.entries.values()))
 
 
-class SupportsBaseline(Protocol):
-    """Structural type: anything with a fingerprint and a dict form."""
-
-    @property
-    def fingerprint(self) -> Tuple:
-        ...  # pragma: no cover - protocol only
-
-    def to_dict(self) -> Dict:
-        ...  # pragma: no cover - protocol only
+def _baseline_key(finding: Finding) -> Tuple:
+    # Fingerprint first, so a regenerated baseline is byte-identical
+    # whatever order the caller passes the findings in.
+    return (*finding.fingerprint, finding.col, finding.message)
 
 
-_F = TypeVar("_F", bound=SupportsBaseline)
-
-
-def write_findings_baseline(
-    findings: Iterable[_F],
-    path: str,
-    *,
-    sort_key: Callable[[_F], Tuple],
-) -> int:
+def write_baseline(findings: Iterable[Finding], path: str) -> int:
     """Write ``findings`` as a baseline file; returns the entry count.
 
     The full finding (including message) is stored for human review,
     but only the fingerprint participates in matching — messages may
-    be reworded without invalidating a baseline.  ``sort_key`` must be
-    fingerprint-first so regenerating a baseline from the same
-    findings is byte-identical regardless of caller ordering.
+    be reworded without invalidating a baseline.
     """
-    records = [d.to_dict() for d in sorted(findings, key=sort_key)]
+    records = [f.to_dict() for f in sorted(findings, key=_baseline_key)]
     payload = {"version": _BASELINE_VERSION, "findings": records}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -274,21 +266,16 @@ def write_findings_baseline(
     return len(records)
 
 
-def read_findings_baseline(
-    path: str,
-    *,
-    fingerprint_of: Callable[[Dict], Fingerprint],
-    tool: str = "findings",
-) -> FindingsBaseline:
-    """Load a baseline file written by :func:`write_findings_baseline`.
+def read_baseline(path: str, target: Optional["Target"] = None) -> Baseline:
+    """Load a baseline file written by :func:`write_baseline`.
 
-    ``fingerprint_of`` rebuilds a record's matching key from its dict
-    form (raising ``KeyError``/``TypeError``/``ValueError`` on a
-    malformed record, which is surfaced as a :class:`ValueError` with
-    the offending record).
+    Raises :class:`ValueError` for a file that is not a baseline, an
+    unsupported version, or a malformed record — including, when
+    ``target`` is given, a finding of another target.
     """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    tool = target.tool if target is not None else "findings"
     if not isinstance(payload, dict) or "findings" not in payload:
         raise ValueError(f"{path}: not a {tool} baseline file")
     version = payload.get("version")
@@ -300,29 +287,30 @@ def read_findings_baseline(
     entries: Counter = Counter()
     for record in payload["findings"]:
         try:
-            fingerprint = fingerprint_of(record)
-        except (KeyError, TypeError, ValueError) as exc:
+            finding = Finding(**record)
+            if target is not None and not finding.code.startswith(target.prefix):
+                raise ValueError(finding.code)
+        except (TypeError, ValueError) as exc:
             raise ValueError(
                 f"{path}: malformed baseline entry {record!r}"
             ) from exc
-        entries[fingerprint] += 1
-    return FindingsBaseline(entries=entries)
+        entries[finding.fingerprint] += 1
+    return Baseline(entries=entries)
 
 
-def apply_findings_baseline(
-    findings: Sequence[_F],
-    baseline: FindingsBaseline,
-    *,
-    sort_key: Callable[[_F], Tuple],
-) -> Tuple[List[_F], int]:
-    """Split findings into (new, baselined-count) against ``baseline``."""
+def apply_baseline(
+    findings: Sequence[Finding], baseline: Baseline
+) -> Tuple[List[Finding], int]:
+    """Split findings into (new, baselined-count) against ``baseline``;
+    the new findings come back in report order."""
     budget = Counter(baseline.entries)
-    fresh: List[_F] = []
+    fresh: List[Finding] = []
     absorbed = 0
-    for finding in sorted(findings, key=sort_key):
-        if budget[tuple(finding.fingerprint)] > 0:
-            budget[tuple(finding.fingerprint)] -= 1
+    for finding in sorted(findings, key=_baseline_key):
+        if budget[finding.fingerprint] > 0:
+            budget[finding.fingerprint] -= 1
             absorbed += 1
         else:
             fresh.append(finding)
+    fresh.sort(key=lambda f: f.sort_key)
     return fresh, absorbed

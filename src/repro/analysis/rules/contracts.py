@@ -11,8 +11,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import FileContext, Rule, register
+from repro.analysis.engine import Rule, register
+from repro.analysis.report import Finding
+from repro.analysis.runner import FileContext
 
 __all__ = ["SolverContractRule", "PoolPicklabilityRule", "SwallowedExceptionRule"]
 
@@ -45,7 +46,7 @@ class SolverContractRule(Rule):
         "offered but unused)."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_package("solvers"):
             return
         entry_points: List[Tuple[ast.FunctionDef, str]] = []
@@ -112,7 +113,7 @@ class PoolPicklabilityRule(Rule):
     #: Callables these names receive must cross a process boundary.
     _POOL_FUNCTIONS = {"parallel_run_simulation", "ProcessPoolExecutor"}
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         yield from self._walk(ctx, ctx.tree, local_callables=frozenset())
 
     def _local_callables(self, fn: ast.AST) -> Set[str]:
@@ -129,7 +130,7 @@ class PoolPicklabilityRule(Rule):
 
     def _walk(
         self, ctx: FileContext, node: ast.AST, local_callables: frozenset
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         for child in ast.iter_child_nodes(node):
             scope = local_callables
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -140,7 +141,7 @@ class PoolPicklabilityRule(Rule):
 
     def _check_call(
         self, ctx: FileContext, call: ast.Call, local_callables: frozenset
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         tail = _chain_tail(call.func)
         is_boundary = False
         if tail == "submit" and isinstance(call.func, ast.Attribute):
@@ -226,7 +227,7 @@ class SwallowedExceptionRule(Rule):
         "amount, not an exception."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         scoped = ctx.in_package("solvers", "core", "sim")
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Try):

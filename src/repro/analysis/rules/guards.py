@@ -13,8 +13,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set, Tuple
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import FileContext, Rule, register
+from repro.analysis.engine import Rule, register
+from repro.analysis.report import Finding
+from repro.analysis.runner import FileContext
 
 __all__ = ["ToleranceLiteralRule", "UnguardedDivisionRule"]
 
@@ -62,7 +63,7 @@ class ToleranceLiteralRule(Rule):
         "repro.solvers.tolerances so a change lands everywhere at once."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_package("solvers", "core"):
             return
         if ctx.path.endswith(_TOLERANCE_HOME_SUFFIX):
@@ -253,7 +254,7 @@ class UnguardedDivisionRule(Rule):
         "add a positive floor, or branch on it first."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_package("core", "stream", "queueing"):
             return
         yield from self._scan_block(ctx, ctx.tree.body, set(), frozenset())
@@ -266,7 +267,7 @@ class UnguardedDivisionRule(Rule):
         body: list,
         guarded: Set[str],
         invariants: "frozenset[str]",
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         guarded = set(guarded)
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -338,7 +339,7 @@ class UnguardedDivisionRule(Rule):
 
     def _check_expr(
         self, ctx: FileContext, node: ast.AST, guarded: Set[str]
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         if isinstance(node, ast.IfExp):
             yield from self._check_expr(ctx, node.test, guarded)
             branch_guard = guarded | _guard_names(node.test)
@@ -368,7 +369,7 @@ class UnguardedDivisionRule(Rule):
 
     def _maybe_flag(
         self, ctx: FileContext, node: ast.BinOp, guarded: Set[str]
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         name = _leaf_name(node.right)
         if not _is_risky_name(name):
             return

@@ -12,8 +12,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Tuple
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import FileContext, Rule, register
+from repro.analysis.engine import Rule, register
+from repro.analysis.report import Finding
+from repro.analysis.runner import FileContext
 
 __all__ = ["MutableDefaultRule", "ArrayDtypeContractRule"]
 
@@ -54,7 +55,7 @@ class MutableDefaultRule(Rule):
         "container inside the function."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -117,14 +118,14 @@ class ArrayDtypeContractRule(Rule):
         "callers and reviewers see the guarantee."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_package("core", "solvers"):
             return
         yield from self._walk(ctx, ctx.tree, private_scope=False)
 
     def _walk(
         self, ctx: FileContext, node: ast.AST, private_scope: bool
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 yield from self._walk(
@@ -138,7 +139,7 @@ class ArrayDtypeContractRule(Rule):
 
     def _check_function(
         self, ctx: FileContext, fn: ast.FunctionDef
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         if not _returns_ndarray(fn):
             return
         doc = ast.get_docstring(fn) or ""

@@ -12,8 +12,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import FileContext, Rule, register
+from repro.analysis.engine import Rule, register
+from repro.analysis.report import Finding
+from repro.analysis.runner import FileContext
 
 __all__ = ["FloatEqualityRule", "UnseededRngRule", "FrozenMutationRule"]
 
@@ -54,7 +55,7 @@ class FloatEqualityRule(Rule):
         "correct on both sides of the boundary."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -118,7 +119,7 @@ class UnseededRngRule(Rule):
         "repro.utils.rng instead."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.path.endswith(_RNG_HOME_SUFFIX):
             return
         for node in ast.walk(ctx.tree):
@@ -186,12 +187,12 @@ class FrozenMutationRule(Rule):
         "instead."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         yield from self._walk(ctx, ctx.tree, enclosing=None)
 
     def _walk(
         self, ctx: FileContext, node: ast.AST, enclosing: Optional[str]
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         for child in ast.iter_child_nodes(node):
             scope = enclosing
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -1,9 +1,10 @@
-"""File walking, parsing, and rule dispatch for ``reprolint``.
+"""The source target's runner: file walking, parsing, and rule dispatch
+for ``repro lint`` (``RP0xx``).
 
 :func:`lint_paths` is the batch entry point used by the CLI;
 :func:`lint_source` lints one in-memory snippet (the unit-test surface
 for rule fixtures).  A file that does not parse yields a single
-``RP000`` diagnostic instead of aborting the run — one broken file must
+``RP000`` finding instead of aborting the run — one broken file must
 not hide findings in the other eighty.
 """
 
@@ -14,47 +15,49 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import FileContext, Rule, all_rules
+from repro.analysis.engine import SOURCE, Report, Rule
+from repro.analysis.report import Finding
 from repro.analysis.suppression import (
     SuppressionError,
     collect_suppressions,
 )
 
-__all__ = ["LintReport", "lint_paths", "lint_source"]
+__all__ = ["FileContext", "lint_paths", "lint_source"]
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
 
 @dataclass
-class LintReport:
-    """Outcome of one lint run."""
+class FileContext:
+    """Everything a rule may need about the file under analysis.
 
-    findings: List[Diagnostic] = field(default_factory=list)
-    suppressed: int = 0
-    baselined: int = 0
-    files_checked: int = 0
+    ``path`` is normalized to forward slashes so path-scoped rules
+    (solver modules, the RNG helper exemption) behave identically on
+    every platform.
+    """
 
-    @property
-    def clean(self) -> bool:
-        """True when no unsuppressed, unbaselined findings remain."""
-        return not self.findings
+    path: str
+    source: str
+    tree: ast.AST
+    lines: List[str] = field(default_factory=list)
 
-    def extend(self, other: "LintReport") -> None:
-        """Fold another (single-file) report into this one."""
-        self.findings.extend(other.findings)
-        self.suppressed += other.suppressed
-        self.baselined += other.baselined
-        self.files_checked += other.files_checked
+    def __post_init__(self) -> None:
+        self.path = self.path.replace("\\", "/")
+        if not self.lines:
+            self.lines = self.source.splitlines()
+
+    def in_package(self, *parts: str) -> bool:
+        """True when the file lives under any ``repro/<part>/`` tree."""
+        return any(f"/{part}/" in f"/{self.path}" for part in parts)
 
 
-def _parse_error(path: str, exc: SyntaxError) -> Diagnostic:
-    return Diagnostic(
-        path=path,
-        line=max(int(exc.lineno or 1), 1),
-        col=max(int(exc.offset or 1) - 1, 0),
-        code="RP000",
-        message=f"file does not parse: {exc.msg}",
+def _parse_error(path: str, line: int, col: int, message: str) -> Report:
+    finding = Finding(
+        code="RP000", message=message, path=path, line=line, col=col,
+    )
+    return Report(
+        target=SOURCE, findings=[finding],
+        details={"files_checked": 1, "suppressed": 0},
     )
 
 
@@ -62,43 +65,42 @@ def lint_source(
     source: str,
     path: str = "<string>",
     rules: Optional[Sequence[Rule]] = None,
-) -> LintReport:
+) -> Report:
     """Lint one source string under the given (virtual) ``path``.
 
     The path matters: several rules are path-scoped (RP004/RP006 apply
     under ``solvers/``..., RP002 exempts ``utils/rng.py``), so fixtures
-    pick their scope through it.
+    pick their scope through it.  ``details`` counts ``files_checked``
+    and ``suppressed`` findings.
     """
-    # Rule registration happens on package import; fall back lazily so
-    # `from repro.analysis.runner import lint_source` alone still works.
-    if rules is None:
-        if not all_rules():  # pragma: no cover - import-order backstop
-            import repro.analysis.rules  # noqa: F401
-        rules = all_rules()
-    report = LintReport(files_checked=1)
     normalized = path.replace("\\", "/")
     try:
         tree = ast.parse(source, filename=normalized)
     except SyntaxError as exc:
-        report.findings.append(_parse_error(normalized, exc))
-        return report
+        return _parse_error(
+            normalized,
+            max(int(exc.lineno or 1), 1),
+            max(int(exc.offset or 1) - 1, 0),
+            f"file does not parse: {exc.msg}",
+        )
     try:
         suppressions = collect_suppressions(source)
     except SuppressionError as exc:
-        report.findings.append(Diagnostic(
-            path=normalized, line=1, col=0, code="RP000",
-            message=str(exc),
-        ))
-        return report
+        return _parse_error(normalized, 1, 0, str(exc))
     ctx = FileContext(path=normalized, source=source, tree=tree)
-    for rule in rules:
-        for diagnostic in rule.check(ctx):
-            if suppressions.is_suppressed(diagnostic):
-                report.suppressed += 1
+    findings: List[Finding] = []
+    suppressed = 0
+    for rule in rules if rules is not None else SOURCE.rules():
+        for finding in rule.check(ctx):
+            if suppressions.is_suppressed(finding):
+                suppressed += 1
             else:
-                report.findings.append(diagnostic)
-    report.findings.sort()
-    return report
+                findings.append(finding)
+    findings.sort(key=lambda f: f.sort_key)
+    return Report(
+        target=SOURCE, findings=findings,
+        details={"files_checked": 1, "suppressed": suppressed},
+    )
 
 
 def _iter_python_files(paths: Iterable[str]) -> List[str]:
@@ -121,7 +123,7 @@ def _iter_python_files(paths: Iterable[str]) -> List[str]:
 def lint_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-) -> LintReport:
+) -> Report:
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
     Raises :class:`FileNotFoundError` for a path that does not exist —
@@ -130,10 +132,17 @@ def lint_paths(
     for path in paths:
         if not os.path.exists(path):
             raise FileNotFoundError(f"lint path does not exist: {path}")
-    report = LintReport()
+    findings: List[Finding] = []
+    files = suppressed = 0
     for filename in _iter_python_files(paths):
         with open(filename, "r", encoding="utf-8") as handle:
             source = handle.read()
-        report.extend(lint_source(source, path=filename, rules=rules))
-    report.findings.sort()
-    return report
+        report = lint_source(source, path=filename, rules=rules)
+        findings.extend(report.findings)
+        files += 1
+        suppressed += report.suppressed
+    findings.sort(key=lambda f: f.sort_key)
+    return Report(
+        target=SOURCE, findings=findings,
+        details={"files_checked": files, "suppressed": suppressed},
+    )

@@ -11,7 +11,7 @@ suppresses anything:
 * ``# reprolint: disable-file=RP002`` — anywhere in the file (top of
   the module by convention), suppress the listed codes file-wide.
 
-Suppressions match the diagnostic's *anchor line* (where the flagged
+Suppressions match the finding's *anchor line* (where the flagged
 node starts), so the directive goes on the same line as the construct
 it excuses.  Unknown or malformed directives raise at lint time rather
 than silently suppressing nothing.
@@ -25,7 +25,7 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Set
 
-from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.report import Finding
 
 __all__ = ["SuppressionIndex", "collect_suppressions", "SuppressionError"]
 
@@ -46,12 +46,12 @@ class SuppressionIndex:
     by_line: Dict[int, Set[str]] = field(default_factory=dict)
     file_wide: Set[str] = field(default_factory=set)
 
-    def is_suppressed(self, diagnostic: Diagnostic) -> bool:
-        """True when ``diagnostic`` is excused by a directive."""
-        if _ALL in self.file_wide or diagnostic.code in self.file_wide:
+    def is_suppressed(self, finding: Finding) -> bool:
+        """True when ``finding`` is excused by a directive."""
+        if _ALL in self.file_wide or finding.code in self.file_wide:
             return True
-        codes = self.by_line.get(diagnostic.line, ())
-        return _ALL in codes or diagnostic.code in codes
+        codes = self.by_line.get(finding.line, ())
+        return _ALL in codes or finding.code in codes
 
 
 def _parse_codes(raw: str, line: int) -> Set[str]:

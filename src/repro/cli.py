@@ -389,12 +389,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 # ------------------------------------------------- registry-driven wiring
 
 # Importing the subsystem CLI modules registers their subcommands
-# (lint, audit, bench, stream).  Order here is display order in --help.
+# (lint, audit, certify, arch, check, bench, stream).  Order here is
+# display order in --help.
 import repro.analysis.cli  # noqa: E402,F401  (registration side effect)
-import repro.analysis.model.cli  # noqa: E402,F401
-import repro.analysis.certify.cli  # noqa: E402,F401
-import repro.analysis.arch.cli  # noqa: E402,F401
-import repro.analysis.check  # noqa: E402,F401
 import repro.bench.cli  # noqa: E402,F401
 import repro.stream.cli  # noqa: E402,F401
 

@@ -2,10 +2,9 @@
 
 :class:`OptimizerConfig` gathers every knob of
 :class:`~repro.core.optimizer.ProfitAwareOptimizer` into one frozen,
-validated, picklable value — the primary constructor signature is
-``ProfitAwareOptimizer(topology, config=OptimizerConfig(...))``.  The
-old flat keyword arguments still work through a deprecation shim on the
-optimizer itself.
+validated, picklable value — the only constructor signature is
+``ProfitAwareOptimizer(topology, config=OptimizerConfig(...))``; the
+optimizer accepts no flat keyword arguments.
 
 Keeping the configuration a value (rather than loose kwargs) means it
 can be stored on experiment bundles, shipped across the process-pool

@@ -39,8 +39,10 @@ class SlotTrace:
     """One slot solve, fully described.
 
     ``phase_times`` maps phase names (``"build"``, ``"solve"``,
-    ``"postprocess"``) to wall seconds; their sum is at most
-    ``total_time``, which covers the whole ``plan_slot`` call.
+    ``"postprocess"``, plus ``"collapse"``, ``"decompose"`` and
+    ``"expand"`` on the sparse path) to wall seconds; the phases are
+    disjoint, so their sum is at most ``total_time``, which covers the
+    whole ``plan_slot`` call.
     ``residuals`` carries the constraint-violation magnitudes of the
     returned solution in the solved problem's space (see
     ``LinearProgram.residuals``); empty for solve paths that do not
@@ -56,16 +58,15 @@ class SlotTrace:
 
     ``audit`` carries the formulation auditor's findings for the slot
     when ``OptimizerConfig(audit="warn"|"error")`` is active: one dict
-    per finding, as produced by
-    ``repro.analysis.model.ModelFinding.to_dict`` (code, severity,
-    component, message, data).  Empty when auditing is off or the slot
+    per finding, as produced by ``repro.analysis.Finding.to_dict``
+    (code, severity, component, message, data).  Empty when auditing is off or the slot
     audited clean; defaults so older trace files still round-trip.
 
     ``certificates`` carries the optimality certifier's findings for
     the slot when ``OptimizerConfig(certify="warn"|"error")`` is
     active: one dict per finding, as produced by
-    ``repro.analysis.certify.CertFinding.to_dict`` (code, severity,
-    component, message, data).  Empty when certification is off or the
+    ``repro.analysis.Finding.to_dict`` (code, severity, component,
+    message, data).  Empty when certification is off or the
     solve certified clean; defaults so older trace files round-trip.
     """
 

@@ -95,7 +95,7 @@ def certify():
     certificate (primal/dual feasibility, complementary slackness,
     duality gap, integrality) from the problem data and fails the test
     with the rendered report on any error-severity finding.  Returns
-    the :class:`~repro.analysis.certify.CertifyReport` so tests can
+    the :class:`~repro.analysis.engine.Report` so tests can
     additionally assert on coverage or warnings.  Session-scoped (the
     helper is stateless) so hypothesis tests may use it freely.
     """

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from repro.analysis.baseline import (
+from repro.analysis.report import (
+    Finding,
     apply_baseline,
     read_baseline,
     write_baseline,
 )
-from repro.analysis.diagnostics import Diagnostic
 from repro.cli import main
 
 DIRTY = "def check(a):\n    return a == 0.0\n"
@@ -108,10 +108,10 @@ class TestBaseline:
     def test_baseline_is_a_multiset(self):
         from collections import Counter
 
-        from repro.analysis.baseline import Baseline
+        from repro.analysis.report import Baseline
 
-        d = Diagnostic(path="a.py", line=3, col=0, code="RP001", message="m")
-        twin = Diagnostic(path="a.py", line=3, col=4, code="RP001", message="m2")
+        d = Finding(path="a.py", line=3, col=0, code="RP001", message="m")
+        twin = Finding(path="a.py", line=3, col=4, code="RP001", message="m2")
         baseline = Baseline(entries=Counter({d.fingerprint: 1}))
         # Both findings share the fingerprint, but one entry absorbs only one.
         fresh, absorbed = apply_baseline([d, twin], baseline)
@@ -120,8 +120,8 @@ class TestBaseline:
 
     def test_roundtrip_preserves_fingerprints(self, tmp_path):
         findings = [
-            Diagnostic(path="a.py", line=3, col=1, code="RP002", message="x"),
-            Diagnostic(path="b.py", line=9, col=0, code="RP006", message="y"),
+            Finding(path="a.py", line=3, col=1, code="RP002", message="x"),
+            Finding(path="b.py", line=9, col=0, code="RP006", message="y"),
         ]
         path = tmp_path / "b.json"
         assert write_baseline(findings, str(path)) == 2
@@ -148,10 +148,10 @@ class TestBaseline:
         """The serialized baseline does not depend on input ordering —
         same multiset of findings, shuffled, gives the same bytes."""
         findings = [
-            Diagnostic(path="b.py", line=9, col=0, code="RP006", message="y"),
-            Diagnostic(path="a.py", line=3, col=4, code="RP001", message="m2"),
-            Diagnostic(path="a.py", line=3, col=1, code="RP002", message="x"),
-            Diagnostic(path="a.py", line=3, col=0, code="RP001", message="m"),
+            Finding(path="b.py", line=9, col=0, code="RP006", message="y"),
+            Finding(path="a.py", line=3, col=4, code="RP001", message="m2"),
+            Finding(path="a.py", line=3, col=1, code="RP002", message="x"),
+            Finding(path="a.py", line=3, col=0, code="RP001", message="m"),
         ]
         forward = tmp_path / "forward.json"
         backward = tmp_path / "backward.json"

@@ -5,8 +5,8 @@ import ast
 
 import pytest
 
-from repro.analysis import all_rules, get_rule, lint_source
-from repro.analysis.registry import FileContext, Rule, register
+from repro.analysis import Rule, all_rules, get_rule, register
+from repro.analysis.runner import FileContext, lint_source
 from repro.analysis.suppression import (
     SuppressionError,
     collect_suppressions,

@@ -11,15 +11,14 @@ from typing import Dict
 
 import pytest
 
+from repro.analysis import all_rules, get_rule
 from repro.analysis.arch import (
     DEFAULT_CONTRACT,
     LayerContract,
-    all_arch_rules,
     audit_tree,
     build_api_surface,
     build_tree_index,
     default_contract,
-    get_arch_rule,
     render_api_surface,
 )
 
@@ -450,22 +449,22 @@ class TestHotPathPurity:
 
 class TestRegistry:
     def test_rule_catalog_covers_every_family(self):
-        leads = [rule.code for rule in all_arch_rules()]
+        leads = [rule.code for rule in all_rules("AR")]
         assert leads == sorted(leads)
         for expected in ("AR010", "AR011", "AR020", "AR030", "AR031",
                          "AR040"):
             assert any(
-                expected in rule.codes for rule in all_arch_rules()
+                expected in rule.codes for rule in all_rules("AR")
             ), expected
 
     def test_get_arch_rule_roundtrip(self):
-        rule = get_arch_rule("AR010")
+        rule = get_rule("AR010")
         assert rule.code == "AR010"
         with pytest.raises(KeyError):
-            get_arch_rule("AR999")
+            get_rule("AR999")
 
     def test_every_rule_has_metadata(self):
-        for rule in all_arch_rules():
+        for rule in all_rules("AR"):
             assert rule.name and rule.rationale and rule.codes
 
 

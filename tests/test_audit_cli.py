@@ -33,6 +33,21 @@ class TestExitCodes:
         assert main(["audit", "--slot", "-1"]) == 2
         assert "--slot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario,slot", [
+        ("section5", 1), ("section6", 24), ("section6", 99), ("section7", 7),
+    ])
+    def test_slot_past_the_trace_exits_two(self, scenario, slot, capsys):
+        # The trace wraps modulo its length; a later slot must not
+        # silently audit an earlier slot's data.
+        assert main(["audit", "--scenario", scenario, "--slot", str(slot)]) == 2
+        captured = capsys.readouterr()
+        assert "--slot" in captured.err
+        assert f"{scenario} slot" not in captured.out
+
+    def test_last_slot_is_audited(self, capsys):
+        assert main(["audit", "--scenario", "section7", "--slot", "6"]) == 0
+        assert "section7 slot 6:" in capsys.readouterr().out
+
     def test_unwritable_report_exits_two(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "report.json"
         assert main(["audit", "--out", str(target)]) == 2

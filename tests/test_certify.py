@@ -13,15 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.certify import (
-    CertFinding,
-    CertifyRule,
-    CertifyThresholds,
-    all_certify_rules,
-    certify_solution,
-    get_certify_rule,
-    register_certify,
-)
+from repro.analysis import Finding, Rule, all_rules, get_rule, register
+from repro.analysis.certify import certify_solution
 from repro.core.config import OptimizerConfig
 from repro.core.formulation import SlotInputs, fixed_level_lp
 from repro.core.optimizer import ProfitAwareOptimizer
@@ -248,19 +241,19 @@ class TestProfitIdentity:
 
 class TestRegistry:
     def test_five_families_sorted_by_lead_code(self):
-        leads = [rule.code for rule in all_certify_rules()]
+        leads = [rule.code for rule in all_rules("CT")]
         assert leads == ["CT010", "CT020", "CT030", "CT040", "CT050"]
 
     def test_lookup_by_member_code(self):
-        assert get_certify_rule("CT021").name == "dual-feasibility"
-        assert get_certify_rule("CT051").name == "decomposition-invariants"
+        assert get_rule("CT021").name == "dual-feasibility"
+        assert get_rule("CT051").name == "decomposition-invariants"
         with pytest.raises(KeyError):
-            get_certify_rule("CT999")
+            get_rule("CT999")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
-            @register_certify
-            class Clone(CertifyRule):
+            @register
+            class Clone(Rule):
                 code = "CT010"
                 codes = {"CT010": "clone"}
                 name = "clone"
@@ -268,14 +261,14 @@ class TestRegistry:
 
     def test_finding_validation(self):
         with pytest.raises(ValueError):
-            CertFinding(code="XX1", severity="error",
+            Finding(code="XX1", severity="error",
                         component="c", message="m")
         with pytest.raises(ValueError):
-            CertFinding(code="CT010", severity="fatal",
+            Finding(code="CT010", severity="fatal",
                         component="c", message="m")
 
     def test_rules_carry_metadata(self):
-        for rule in all_certify_rules():
+        for rule in all_rules("CT"):
             assert rule.name and rule.rationale, rule.code
             assert rule.code in rule.codes
 

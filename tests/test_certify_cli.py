@@ -27,6 +27,20 @@ class TestExitCodes:
         assert main(["certify", "--slots", "0"]) == 2
         assert "--slots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "section6", "--slot", "99"],
+        ["--scenario", "section6", "--slot", "24"],
+        ["--scenario", "section7", "--slots", "8"],
+        ["--scenario", "section5", "--slots", "2"],
+    ])
+    def test_slots_past_the_trace_exit_two(self, argv, capsys):
+        # The trace wraps modulo its length; solving past it would
+        # certify re-runs of earlier slots.
+        assert main(["certify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert argv[2] in captured.err
+        assert "certified" not in captured.out
+
     def test_unwritable_report_exits_two(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "report.json"
         assert main(["certify", "--out", str(target)]) == 2

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.check import CHECK_NAMES, run_checks
+from repro.analysis.cli import CHECK_NAMES, run_checks
 from repro.cli import main
 
 DIRTY = "def check(a):\n    return a == 0.0\n"
@@ -83,6 +83,18 @@ class TestCheckCli:
     def test_bad_certify_slots_exits_two(self, capsys):
         assert main(["check", "--certify-slots", "0"]) == 2
         assert "certify-slots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--slot", "24"], "--slot"),
+        (["--scenario", "section7", "--slot", "7"], "--slot"),
+        (["--certify-slots", "25"], "--certify-slots"),
+        (["--scenario", "section5", "--certify-slots", "2"], "--certify-slots"),
+    ])
+    def test_slots_past_the_trace_exit_two(self, argv, flag, capsys):
+        assert main(["check", "src", *argv]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "check: exit" not in captured.out
 
     def test_solver_checks_run(self, capsys):
         """Smoke the audit + certify legs on the default scenario."""

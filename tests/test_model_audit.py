@@ -7,11 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis import all_rules, get_rule
 from repro.analysis.model import (
-    ModelFinding,
-    all_audit_rules,
     audit_slot,
-    get_audit_rule,
     minimal_big_for_series,
     recommended_big,
 )
@@ -72,28 +70,20 @@ def infeasible_topology():
 
 class TestRegistry:
     def test_all_pass_families_registered(self):
-        leads = {rule.code for rule in all_audit_rules()}
+        leads = {rule.code for rule in all_rules("MD")}
         assert {"MD010", "MD012", "MD020", "MD030", "MD040"} <= leads
 
     def test_families_carry_metadata(self):
-        for rule in all_audit_rules():
+        for rule in all_rules("MD"):
             assert rule.name, rule.code
             assert rule.rationale, rule.code
             assert rule.code in rule.codes
 
     def test_lookup_by_member_code(self):
-        assert get_audit_rule("MD011").code == "MD010"
-        assert get_audit_rule("MD043").code == "MD040"
+        assert get_rule("MD011").code == "MD010"
+        assert get_rule("MD043").code == "MD040"
         with pytest.raises(KeyError, match="MD999"):
-            get_audit_rule("MD999")
-
-    def test_finding_validation(self):
-        with pytest.raises(ValueError, match="MDxxx"):
-            ModelFinding(code="RP001", severity="error",
-                         component="x", message="m")
-        with pytest.raises(ValueError, match="severity"):
-            ModelFinding(code="MD010", severity="fatal",
-                         component="x", message="m")
+            get_rule("MD999")
 
 
 class TestMinimalBig:

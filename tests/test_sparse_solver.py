@@ -526,11 +526,11 @@ class TestSparseFormulationScale:
         )
         start = time.perf_counter()
         lp, _ = fixed_level_lp(inputs, per_server=True, sparse=True)
-        from repro.analysis.model.findings import ModelFinding
+        from repro.analysis import Finding
         from repro.analysis.model.matrix import analyze_program, matrix_details
 
         def make(code, severity, component, message, **data):
-            return ModelFinding(code=code, severity=severity,
+            return Finding(code=code, severity=severity,
                                 component=component, message=message,
                                 data=data)
 
