@@ -73,9 +73,13 @@ class OptimizerConfig:
         solvers.
     sparse_block_workers:
         Process-pool size for solving decomposed per-class blocks
-        (``None`` or ``1`` solves blocks serially in-process, which is
-        fastest below roughly a thousand servers).  Only meaningful
-        with ``sparse=True``.
+        (``None`` or ``1`` solves blocks serially in-process).  After
+        the symmetry collapse every block is ``(S+L) x (S*L+L)`` at any
+        fleet size (7 x 15 in §VI), so the pool's per-slot overhead is
+        never repaid: serial is the fastest setting at every fleet
+        size, and pooled block solves do not report ``sparse.*``
+        counters to the collector.  Only meaningful with
+        ``sparse=True``.
     collector:
         Telemetry sink (see :mod:`repro.obs`); the default
         :class:`~repro.obs.collectors.NullCollector` disables all

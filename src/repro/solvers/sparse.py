@@ -20,13 +20,19 @@ provides three pieces that ride the CSR constraint matrices built by
   from it directly; when the objective changed, nonbasic variables are
   flipped to their dual-feasible bound first.  Both ride the standard
   :class:`~repro.solvers.base.SolverState` token.
-* :func:`solve_decomposed` — per-class block decomposition: request
-  classes couple only through the share-budget rows, so dropping those
-  rows splits the slot LP into independent blocks that solve separately
-  (optionally across the :func:`repro.sim.parallel.parallel_map`
-  process pool).  If the recombined point satisfies the dropped
-  coupling rows, the relaxation optimum is feasible and hence globally
-  optimal; otherwise the caller joint-solves (the optimistic check —
+* per-class block decomposition — request classes couple only through
+  the share-budget rows, so dropping those rows splits the slot LP into
+  independent blocks that solve separately.  The split is **compiled
+  once** per constraint matrix by :func:`compile_decomposition`, which
+  validates the block plan and cuts everything slot-invariant: each
+  block's CSR, CSC and transpose, its bounds and implied-upper-bound
+  entry map (:class:`ImpliedBounds`), and the coupling rows' CSR.  Per
+  slot, :func:`solve_decomposed` only gathers each block's slice of
+  ``c`` and ``b_ub``, solves the blocks (optionally across the
+  :func:`repro.sim.parallel.parallel_map` process pool), and
+  recombines.  If the recombined point satisfies the dropped coupling
+  rows, the relaxation optimum is feasible and hence globally optimal;
+  otherwise the caller joint-solves (the optimistic check —
   over-provisioned fleets virtually never trip it).
 
 Dense solvers remain untouched and serve as the equivalence oracle in
@@ -60,10 +66,13 @@ from repro.solvers.tolerances import (
 __all__ = [
     "SPARSE_DIRECT_ROW_LIMIT",
     "solve_sparse_lp",
+    "ImpliedBounds",
     "implied_upper_bounds",
     "BlockPlan",
     "class_blocks",
-    "validate_block_plan",
+    "CompiledBlock",
+    "CompiledDecomposition",
+    "compile_decomposition",
     "DecomposedSolution",
     "solve_decomposed",
 ]
@@ -102,6 +111,80 @@ def _as_csr(a: object) -> "sp.csr_matrix":
 # Boxing: finite upper bounds implied by nonnegative rows
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ImpliedBounds:
+    """Slot-invariant half of :func:`implied_upper_bounds`.
+
+    :meth:`compile` keeps, once per constraint matrix and bound pair,
+    every entry ``a_rj > 0`` of a row that can imply a bound, with that
+    row's activity at the lower bounds; :meth:`evaluate` applies one
+    slot's ``c`` and ``b_ub``.  Between the controller's slots only
+    those two vectors change, so the decomposed solve compiles each
+    block once and evaluates it per slot.
+    """
+
+    #: Row, column, coefficient, row activity at the lower bounds, and
+    #: column lower bound of each bounding entry (CSR entry order).
+    rows: np.ndarray
+    cols: np.ndarray
+    coef: np.ndarray
+    row_act: np.ndarray
+    col_lower: np.ndarray
+    #: The compiled program's variable bounds.
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @classmethod
+    def compile(
+        cls, a_ub: object, lower: np.ndarray, upper: np.ndarray
+    ) -> Optional["ImpliedBounds"]:
+        """Entry maps of ``a_ub`` under ``lower``/``upper``.
+
+        ``None`` when a lower bound is infinite: no row then implies a
+        bound, and the program counts as unboxable.
+        """
+        if not np.all(np.isfinite(lower)):
+            return None
+        a = _as_csr(a_ub)
+        m = a.shape[0]
+        data, indices, indptr = a.data, a.indices, a.indptr
+        entry_row = np.repeat(np.arange(m), np.diff(indptr))
+        # Row-wise minimum coefficient (rows with any negative entry give
+        # no implied bound) and activity at the lower bounds.
+        row_min = np.full(m, np.inf)
+        np.minimum.at(row_min, entry_row, data)
+        row_act = np.zeros(m)
+        np.add.at(row_act, entry_row, data * lower[indices])
+        valid = (row_min >= 0.0)[entry_row] & (data > _TOL)
+        return cls(
+            rows=entry_row[valid],
+            cols=indices[valid],
+            coef=data[valid],
+            row_act=row_act[entry_row[valid]],
+            col_lower=lower[indices[valid]],
+            lower=lower,
+            upper=upper,
+        )
+
+    def evaluate(
+        self, c: np.ndarray, b_ub: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Finite upper bounds (float64) under ``c``/``b_ub``, or ``None``.
+
+        ``None`` when a variable with a negative objective coefficient
+        stays unboxed.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            implied = (b_ub[self.rows] - self.row_act) / self.coef + self.col_lower
+        cand = np.full(self.upper.size, np.inf)
+        ok = np.isfinite(implied)
+        np.minimum.at(cand, self.cols[ok], implied[ok])
+        upper = np.minimum(self.upper, np.maximum(cand, self.lower))
+        if np.any((c < 0) & ~np.isfinite(upper)):
+            return None
+        return upper
+
+
 def implied_upper_bounds(lp: LinearProgram) -> Optional[np.ndarray]:
     """Finite upper bounds (float64) per variable, or ``None`` if impossible.
 
@@ -117,37 +200,13 @@ def implied_upper_bounds(lp: LinearProgram) -> Optional[np.ndarray]:
     coefficient is negative *need* a finite box (they start nonbasic at
     their upper bound); ``None`` is returned when one of those cannot be
     boxed (the caller falls back to HiGHS, which also catches genuinely
-    unbounded programs).
+    unbounded programs).  Compiles an :class:`ImpliedBounds` and
+    evaluates it once.
     """
     if lp.a_ub is None or lp.b_ub is None:
         return None
-    if not np.all(np.isfinite(lp.lower)):
-        return None
-    a = _as_csr(lp.a_ub)
-    m, n = a.shape
-    data, indices, indptr = a.data, a.indices, a.indptr
-    entry_row = np.repeat(np.arange(m), np.diff(indptr))
-    # Row-wise minimum coefficient (rows with any negative entry give no
-    # implied bound) and activity at the lower bounds.
-    row_min = np.full(m, np.inf)
-    np.minimum.at(row_min, entry_row, data)
-    row_act = np.zeros(m)
-    np.add.at(row_act, entry_row, data * lp.lower[indices])
-    row_ok = row_min >= 0.0
-    valid = row_ok[entry_row] & (data > _TOL)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        implied = (
-            (lp.b_ub[entry_row] - row_act[entry_row]) / data
-            + lp.lower[indices]
-        )
-    cand = np.full(n, np.inf)
-    ok = valid & np.isfinite(implied)
-    np.minimum.at(cand, indices[ok], implied[ok])
-    upper = np.minimum(lp.upper, np.maximum(cand, lp.lower))
-    need = (lp.c < 0) & ~np.isfinite(upper)
-    if np.any(need):
-        return None
-    return upper
+    bounds = ImpliedBounds.compile(lp.a_ub, lp.lower, lp.upper)
+    return None if bounds is None else bounds.evaluate(lp.c, lp.b_ub)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +296,17 @@ def _dual_simplex(
     state: Optional[SolverState],
     max_iterations: Optional[int],
     collector: Optional[Collector] = None,
+    ac: Optional["sp.csc_matrix"] = None,
+    at: Optional["sp.csc_matrix"] = None,
 ) -> Solution:
     """Bounded-variable dual simplex on ``A x + s = b`` (minimization).
+
+    ``ac`` (CSC) and ``at`` (the transpose of the CSR ``lp.a_ub``) are
+    the column-access forms of the constraint matrix; a caller solving
+    one matrix slot after slot passes them precompiled, otherwise they
+    are built once here.  Row products ``v @ A`` are formed as
+    ``at @ v``, the CSC mat-vec scipy's ``__rmatmul__`` runs after
+    transposing, so both routes pivot identically.
 
     ``collector`` receives the numerical-sanitizer telemetry: NaN/inf
     guard trips at the eta update (``sparse.nonfinite_guard_trips`` —
@@ -249,7 +317,10 @@ def _dual_simplex(
     (``sparse.ill_conditioned_bases``).
     """
     a = _as_csr(lp.a_ub)
-    ac = a.tocsc()
+    if ac is None:
+        ac = a.tocsc()
+    if at is None:
+        at = a.T
     m, n = a.shape
     total = n + m
     c_ext = np.concatenate([lp.c, np.zeros(m)])
@@ -277,7 +348,7 @@ def _dual_simplex(
                 # reduced cost prefers (a bound flip moves no basis).
                 y = c_ext[basis] @ binv
                 d = c_ext.copy()
-                d[:n] -= y @ a
+                d[:n] -= at @ y
                 d[n:] -= y
                 flip_up = (vstat == _AT_LOWER) & (d < -_TOL)
                 flip_down = (vstat == _AT_UPPER) & (d > _TOL)
@@ -353,7 +424,7 @@ def _dual_simplex(
                 (vstat[:n] == _AT_UPPER) & ~np.isfinite(lp.upper)
             )
             if np.any(at_box):
-                d_box = lp.c[at_box] - y @ a[:, np.flatnonzero(at_box)]
+                d_box = lp.c[at_box] - (at @ y)[at_box]
                 tol_box = OPTIMALITY_TOL * max(
                     1.0, float(np.abs(lp.c).max(initial=0.0))
                 )
@@ -379,11 +450,11 @@ def _dual_simplex(
         i = int(np.argmax(viol))
         below = viol_low[i] >= viol_up[i]
         rho = binv[i]
-        alpha[:n] = rho @ a
+        alpha[:n] = at @ rho
         alpha[n:] = rho
         y = c_ext[basis] @ binv
         d = c_ext.copy()
-        d[:n] -= y @ a
+        d[:n] -= at @ y
         d[n:] -= y
 
         abar = alpha if below else -alpha
@@ -483,6 +554,21 @@ def solve_sparse_lp(
     densifying.  ``state`` tokens produced here (``method="sparse"``)
     enable the RHS-only dual re-solve fast path across slots.
     """
+    return _solve_sparse(lp, state, collector, max_iterations)
+
+
+def _solve_sparse(
+    lp: LinearProgram,
+    state: Optional[SolverState],
+    collector: Optional[Collector],
+    max_iterations: Optional[int],
+    block: Optional["CompiledBlock"] = None,
+) -> Solution:
+    """:func:`solve_sparse_lp`, reusing ``block``'s compiled structure.
+
+    Without ``block`` the implied bounds, CSC and transpose of
+    ``lp.a_ub`` are built for this call (the joint solve).
+    """
     direct_ok = (
         lp.a_ub is not None
         and lp.a_eq is None
@@ -490,12 +576,19 @@ def solve_sparse_lp(
     )
     boxed: Optional[np.ndarray] = None
     if direct_ok:
-        boxed = implied_upper_bounds(lp)
+        bounds = (
+            ImpliedBounds.compile(lp.a_ub, lp.lower, lp.upper)
+            if block is None else block.bounds
+        )
+        if bounds is not None and lp.b_ub is not None:
+            boxed = bounds.evaluate(lp.c, lp.b_ub)
         if boxed is None:
             _count(collector, "sparse.box_fallbacks")
     if boxed is not None:
         solution = _dual_simplex(
-            lp, boxed, state, max_iterations, collector=collector
+            lp, boxed, state, max_iterations, collector=collector,
+            ac=None if block is None else block.csc,
+            at=None if block is None else block.transpose,
         )
         if solution.status is SolveStatus.OPTIMAL:
             _count(
@@ -552,16 +645,71 @@ def class_blocks(
     return blocks, coupling
 
 
-def validate_block_plan(
+@dataclass(frozen=True)
+class CompiledBlock:
+    """One block's slot-invariant structure, cut once from the full LP."""
+
+    var_idx: np.ndarray
+    row_idx: np.ndarray
+    #: The block's constraint matrix as CSR, CSC, and CSR transpose.
+    matrix: "sp.csr_matrix"
+    csc: "sp.csc_matrix"
+    transpose: "sp.csc_matrix"
+    lower: np.ndarray
+    upper: np.ndarray
+    #: Implied-upper-bound entry maps; ``None`` when unboxable.
+    bounds: Optional[ImpliedBounds]
+
+
+@dataclass(frozen=True)
+class CompiledDecomposition:
+    """A validated block split of one constraint matrix and bound pair.
+
+    Built by :func:`compile_decomposition`; :func:`solve_decomposed`
+    accepts every LP that :meth:`matches` it — in the controller, every
+    slot LP refilled from the same :class:`FixedLevelLPCache`.
+    """
+
+    matrix: "sp.csr_matrix"
+    lower: np.ndarray
+    upper: np.ndarray
+    blocks: Tuple[CompiledBlock, ...]
+    coupling_rows: np.ndarray
+    #: CSR of the coupling rows, for the recombination check.
+    coupling_matrix: "sp.csr_matrix"
+
+    def matches(self, lp: LinearProgram) -> bool:
+        """True when ``lp`` has the compiled matrix and bounds."""
+        if lp.a_ub is None:
+            return False
+        if lp.a_ub is not self.matrix:
+            a, ref = _as_csr(lp.a_ub), self.matrix
+            if not (
+                a.shape == ref.shape
+                and np.array_equal(a.indptr, ref.indptr)
+                and np.array_equal(a.indices, ref.indices)
+                and np.array_equal(a.data, ref.data)
+            ):
+                return False
+        return bool(
+            np.array_equal(lp.lower, self.lower)
+            and np.array_equal(lp.upper, self.upper)
+        )
+
+
+def compile_decomposition(
     lp: LinearProgram,
     blocks: Sequence[BlockPlan],
     coupling_rows: np.ndarray,
-) -> None:
-    """Check that ``blocks`` really decompose ``lp`` (raise otherwise).
+) -> CompiledDecomposition:
+    """Validate ``blocks`` against ``lp`` and compile them (raise otherwise).
 
     Blocks must partition every column and every non-coupling row, and
     each block's rows may only touch that block's columns — otherwise
-    dropping the coupling rows would silently change the problem.
+    dropping the coupling rows would silently change the problem.  Runs
+    once per constraint matrix (the optimizer calls it on its first
+    sparse slot): everything slot-invariant is cut here, so a slot's
+    :func:`solve_decomposed` only gathers ``c`` and ``b_ub``.
     """
     if lp.a_ub is None:
         raise ValueError("block decomposition needs inequality rows")
@@ -585,6 +733,29 @@ def validate_block_plan(
         col_owner[a.indices[in_block]] != row_owner[entry_row[in_block]]
     ):
         raise ValueError("a non-coupling row touches a foreign block's column")
+    compiled: List[CompiledBlock] = []
+    for blk in blocks:
+        sub = a[blk.row_idx][:, blk.var_idx]
+        lower = lp.lower[blk.var_idx]
+        upper = lp.upper[blk.var_idx]
+        compiled.append(CompiledBlock(
+            var_idx=blk.var_idx,
+            row_idx=blk.row_idx,
+            matrix=sub,
+            csc=sub.tocsc(),
+            transpose=sub.T,
+            lower=lower,
+            upper=upper,
+            bounds=ImpliedBounds.compile(sub, lower, upper),
+        ))
+    return CompiledDecomposition(
+        matrix=a,
+        lower=lp.lower.copy(),
+        upper=lp.upper.copy(),
+        blocks=tuple(compiled),
+        coupling_rows=coupling_rows,
+        coupling_matrix=a[coupling_rows],
+    )
 
 
 @dataclass
@@ -597,19 +768,25 @@ class DecomposedSolution:
 
 
 def _solve_block_task(
-    args: Tuple[LinearProgram, Optional[SolverState], Optional[int]],
+    args: Tuple[
+        CompiledBlock, np.ndarray, np.ndarray, Optional[SolverState],
+        Optional[int], Optional[Collector],
+    ],
 ) -> Solution:
     """Top-level (picklable) single-block solve for the process pool."""
-    block_lp, block_state, max_iterations = args
-    return solve_sparse_lp(
-        block_lp, state=block_state, max_iterations=max_iterations
+    block, c, b_ub, block_state, max_iterations, collector = args
+    block_lp = LinearProgram(
+        c=c, a_ub=block.matrix, b_ub=b_ub,
+        lower=block.lower, upper=block.upper,
+    )
+    return _solve_sparse(
+        block_lp, block_state, collector, max_iterations, block=block
     )
 
 
 def solve_decomposed(  # reprolint: disable=RP004
     lp: LinearProgram,
-    blocks: Sequence[BlockPlan],
-    coupling_rows: np.ndarray,
+    compiled: CompiledDecomposition,
     states: Optional[Sequence[Optional[SolverState]]] = None,
     collector: Optional[Collector] = None,
     max_iterations: Optional[int] = None,
@@ -617,40 +794,43 @@ def solve_decomposed(  # reprolint: disable=RP004
 ) -> Optional[DecomposedSolution]:
     """Optimistically solve ``lp`` block by block; ``None`` on failure.
 
-    Drops the coupling rows, solves every block independently (each with
-    its own warm-start token; ``workers > 1`` fans the blocks out over
+    Gathers each compiled block's slice of ``lp.c`` and ``lp.b_ub``,
+    solves every block independently (each with its own warm-start
+    token; ``workers > 1`` fans the blocks out over
     :func:`repro.sim.parallel.parallel_map`), and recombines.  When the
-    recombined point satisfies the dropped rows, the relaxation optimum
-    is feasible for the full program and therefore globally optimal.
-    Returns ``None`` — caller joint-solves — when a block fails or a
-    coupling row is violated.
+    recombined point satisfies the dropped coupling rows, the relaxation
+    optimum is feasible for the full program and therefore globally
+    optimal.  Returns ``None`` — caller joint-solves — when a block
+    fails or a coupling row is violated.  Raises ``ValueError`` when
+    ``lp``'s matrix or bounds are not the ones ``compiled`` was built
+    from.
+
+    ``collector`` receives the serial block solves' ``sparse.*``
+    counters as well as the decomposition's own; pooled block solves
+    run in worker processes, which cannot report to it.
     """
-    if lp.a_ub is None or lp.b_ub is None:
-        return None
-    a = _as_csr(lp.a_ub)
-    subs: List[LinearProgram] = []
-    for blk in blocks:
-        sub_a = a[blk.row_idx][:, blk.var_idx]
-        subs.append(LinearProgram(
-            c=lp.c[blk.var_idx],
-            a_ub=sub_a,
-            b_ub=lp.b_ub[blk.row_idx],
-            lower=lp.lower[blk.var_idx],
-            upper=lp.upper[blk.var_idx],
-        ))
+    if not compiled.matches(lp):
+        raise ValueError(
+            "LP matrix or bounds differ from the compiled decomposition; "
+            "compile one for this LP's constraint matrix"
+        )
+    assert lp.b_ub is not None
+    blocks = compiled.blocks
     block_states: List[Optional[SolverState]] = (
-        list(states) if states is not None and len(states) == len(subs)
-        else [None] * len(subs)
+        list(states) if states is not None and len(states) == len(blocks)
+        else [None] * len(blocks)
     )
+    pooled = workers is not None and workers > 1 and len(blocks) > 1
     tasks = [
-        (sub, block_state, max_iterations)
-        for sub, block_state in zip(subs, block_states)
+        (blk, lp.c[blk.var_idx], lp.b_ub[blk.row_idx], block_state,
+         max_iterations, None if pooled else collector)
+        for blk, block_state in zip(blocks, block_states)
     ]
     # Blocks are per-class (see class_blocks), so label worker failures
     # with the originating block's class index — a crash inside one
     # block solve must not surface as an anonymous pool error.
     labels = [f"block[class={k}]" for k in range(len(tasks))]
-    if workers is not None and workers > 1 and len(tasks) > 1:
+    if pooled:
         from repro.sim.parallel import parallel_map
 
         results = parallel_map(
@@ -674,7 +854,8 @@ def solve_decomposed(  # reprolint: disable=RP004
     for blk, res in zip(blocks, results):
         assert res.x is not None
         x[blk.var_idx] = res.x
-    slack = lp.b_ub[coupling_rows] - a[coupling_rows] @ x
+    coupling_rows = compiled.coupling_rows
+    slack = lp.b_ub[coupling_rows] - compiled.coupling_matrix @ x
     scale = np.maximum(1.0, np.abs(lp.b_ub[coupling_rows]))
     if np.any(slack < -ZERO_TOL * scale):
         _count(collector, "sparse.coupling_rejects")

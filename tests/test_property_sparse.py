@@ -27,9 +27,9 @@ from repro.solvers.linprog import solve_lp
 from repro.solvers.presolve import presolve
 from repro.solvers.sparse import (
     class_blocks,
+    compile_decomposition,
     solve_decomposed,
     solve_sparse_lp,
-    validate_block_plan,
 )
 
 REL_TOL = 1e-6
@@ -207,13 +207,14 @@ class TestDecompositionEquivalence:
                    topology.num_datacenters)
         blocks, coupling = class_blocks(K, S, L)
         cache = FixedLevelLPCache(topology, sparse=True)
-        states = None
+        states = compiled = None
         for arrivals, prices in slots:
             inputs = SlotInputs(topology=topology, arrivals=arrivals,
                                 prices=prices)
             lp, _ = cache.build(inputs)
-            validate_block_plan(lp, blocks, coupling)
-            result = solve_decomposed(lp, blocks, coupling, states=states)
+            if compiled is None:
+                compiled = compile_decomposition(lp, blocks, coupling)
+            result = solve_decomposed(lp, compiled, states=states)
             ref = solve_lp(lp, "highs").require_ok()
             if result is None:
                 continue  # coupling bound; the caller joint-solves

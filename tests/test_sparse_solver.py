@@ -17,17 +17,19 @@ from repro.core.formulation import FixedLevelLPCache, SlotInputs, fixed_level_lp
 from repro.core.optimizer import ProfitAwareOptimizer
 from repro.core.request import RequestClass
 from repro.core.tuf import ConstantTUF
+from repro.experiments.section6 import SERVERS_PER_DC, section6_experiment
 from repro.obs.collectors import InMemoryCollector
 from repro.sim.failures import degraded_topology
 from repro.sim.parallel import parallel_map
 from repro.solvers.base import LinearProgram, SolveStatus
 from repro.solvers.linprog import solve_lp
 from repro.solvers.sparse import (
+    ImpliedBounds,
     class_blocks,
+    compile_decomposition,
     implied_upper_bounds,
     solve_decomposed,
     solve_sparse_lp,
-    validate_block_plan,
 )
 
 REL_TOL = 1e-6
@@ -68,6 +70,17 @@ def _slot_lp(topology, arrivals, prices):
     return fixed_level_lp(inputs, sparse=True)
 
 
+def _section6_day_10x():
+    """The §VI day's topology at 10x fleet plus its 24 slot inputs."""
+    exp = section6_experiment()
+    topo = exp.topology.with_servers_per_datacenter(SERVERS_PER_DC * 10)
+    slots = [
+        (exp.trace.arrivals_at(t), exp.market.prices_at(t))
+        for t in range(exp.trace.num_slots)
+    ]
+    return topo, slots, exp.trace.slot_duration
+
+
 class TestImpliedUpperBounds:
     def test_boxes_every_variable(self):
         lp = _random_boxable_lp(np.random.default_rng(0))
@@ -96,6 +109,63 @@ class TestImpliedUpperBounds:
         lp = LinearProgram(c=np.array([0.5, -1.0]), a_ub=a,
                            b_ub=np.array([1.0]))
         assert implied_upper_bounds(lp) is None
+
+    def test_unboxable_when_a_lower_bound_is_infinite(self):
+        a = sparse.csr_matrix(np.array([[1.0, 1.0]]))
+        lp = LinearProgram(c=np.array([-1.0, -1.0]), a_ub=a,
+                           b_ub=np.array([1.0]),
+                           lower=np.array([-np.inf, 0.0]))
+        assert ImpliedBounds.compile(lp.a_ub, lp.lower, lp.upper) is None
+        assert implied_upper_bounds(lp) is None
+
+    def test_compiled_unboxable_negative_cost_returns_none(self):
+        # The c < 0 test belongs to evaluation: the same compiled map
+        # declines a slot whose cost wants the unboxed variable up and
+        # serves one whose cost does not.
+        a = sparse.csr_matrix(np.array([[1.0, -1.0]]))
+        lp = LinearProgram(c=np.array([0.5, -1.0]), a_ub=a,
+                           b_ub=np.array([1.0]))
+        bounds = ImpliedBounds.compile(lp.a_ub, lp.lower, lp.upper)
+        assert bounds is not None
+        for b in (1.0, 4.0):
+            assert bounds.evaluate(lp.c, np.array([b])) is None
+        upper = bounds.evaluate(np.array([0.5, 1.0]), np.array([1.0]))
+        assert upper is not None and np.all(np.isinf(upper))
+
+    def test_compiled_bounds_match_fresh_slot_lps(self):
+        # Compile once from the first slot, then evaluate later slots'
+        # c/b_ub the way the decomposed solve does: bit-identical to
+        # implied_upper_bounds of each freshly built LP.
+        topo = _small_topology()
+        rng = np.random.default_rng(10)
+        first, _ = _slot_lp(topo, rng.uniform(100.0, 800.0, (2, 2)),
+                            rng.uniform(0.03, 0.1, 2))
+        bounds = ImpliedBounds.compile(first.a_ub, first.lower, first.upper)
+        assert bounds is not None
+        for _ in range(8):
+            lp, _ = _slot_lp(topo, rng.uniform(0.0, 800.0, (2, 2)),
+                             rng.uniform(0.03, 0.1, 2))
+            fresh = implied_upper_bounds(lp)
+            got = bounds.evaluate(lp.c, lp.b_ub)
+            assert fresh is not None and got is not None
+            assert got.tobytes() == fresh.tobytes()
+
+    def test_compiled_bounds_match_fresh_random_lps(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            lp = _random_boxable_lp(rng)
+            dense = lp.a_ub.toarray()
+            bounds = ImpliedBounds.compile(lp.a_ub, lp.lower, lp.upper)
+            for _ in range(5):
+                c = rng.uniform(-2.0, 2.0, lp.c.size)
+                b = rng.uniform(-1.0, 5.0, lp.b_ub.size)
+                fresh = implied_upper_bounds(LinearProgram(
+                    c=c, a_ub=sparse.csr_matrix(dense), b_ub=b,
+                ))
+                got = bounds.evaluate(c, b)
+                assert (got is None) == (fresh is None)
+                if got is not None:
+                    assert got.tobytes() == fresh.tobytes()
 
     def test_slot_lp_is_boxable(self):
         topo = _small_topology()
@@ -219,7 +289,6 @@ class TestDecomposition:
         K, S, L = (topo.num_classes, topo.num_frontends,
                    topo.num_datacenters)
         blocks, coupling = class_blocks(K, S, L)
-        validate_block_plan(lp, blocks, coupling)
         return lp, blocks, coupling
 
     def test_accepts_and_matches_joint_solve(self):
@@ -229,7 +298,9 @@ class TestDecomposition:
             arrivals=np.array([[500.0, 300.0], [200.0, 400.0]]),
             prices=np.array([0.05, 0.08]),
         )
-        result = solve_decomposed(lp, blocks, coupling)
+        result = solve_decomposed(
+            lp, compile_decomposition(lp, blocks, coupling)
+        )
         assert result is not None
         ref = solve_lp(lp, "highs").require_ok()
         assert result.solution.objective == pytest.approx(
@@ -250,8 +321,10 @@ class TestDecomposition:
             arrivals=np.array([[400.0, 400.0], [400.0, 400.0]]),
             prices=np.array([0.0001, 0.0001]),
         )
-        result = solve_decomposed(lp, blocks, coupling,
-                                  collector=collector)
+        result = solve_decomposed(
+            lp, compile_decomposition(lp, blocks, coupling),
+            collector=collector,
+        )
         assert result is None
         assert collector.counters.get("sparse.coupling_rejects", 0) == 1
 
@@ -262,8 +335,9 @@ class TestDecomposition:
             arrivals=np.array([[500.0, 300.0], [200.0, 400.0]]),
             prices=np.array([0.05, 0.08]),
         )
-        serial = solve_decomposed(lp, blocks, coupling)
-        pooled = solve_decomposed(lp, blocks, coupling, workers=2)
+        compiled = compile_decomposition(lp, blocks, coupling)
+        serial = solve_decomposed(lp, compiled)
+        pooled = solve_decomposed(lp, compiled, workers=2)
         assert serial is not None and pooled is not None
         assert pooled.solution.objective == pytest.approx(
             serial.solution.objective, rel=1e-9
@@ -278,7 +352,7 @@ class TestDecomposition:
         )
         bad = [blocks[0], blocks[0]]
         with pytest.raises(ValueError, match="overlap"):
-            validate_block_plan(lp, bad, coupling)
+            compile_decomposition(lp, bad, coupling)
 
     def test_validate_rejects_partial_cover(self):
         topo = _small_topology()
@@ -288,7 +362,122 @@ class TestDecomposition:
             prices=np.array([0.05, 0.08]),
         )
         with pytest.raises(ValueError, match="partition"):
-            validate_block_plan(lp, blocks[:1], coupling)
+            compile_decomposition(lp, blocks[:1], coupling)
+
+    @pytest.mark.parametrize("other", [
+        {"mu": 4000.0},          # another constraint matrix
+        {"servers": (4, 2)},     # same matrix, other share bounds
+    ])
+    def test_rejects_lp_of_another_topology(self, other):
+        arrivals = np.array([[500.0, 300.0], [200.0, 400.0]])
+        prices = np.array([0.05, 0.08])
+        lp, blocks, coupling = self._lp_and_blocks(
+            _small_topology(), arrivals, prices
+        )
+        compiled = compile_decomposition(lp, blocks, coupling)
+        foreign, _ = _slot_lp(_small_topology(**other), arrivals, prices)
+        with pytest.raises(ValueError, match="compiled decomposition"):
+            solve_decomposed(foreign, compiled)
+        # An equal matrix from another cache of the same topology is the
+        # compiled one, even though it is a different object.
+        again, _ = _slot_lp(_small_topology(), arrivals, prices)
+        assert again.a_ub is not lp.a_ub
+        assert solve_decomposed(again, compiled) is not None
+
+
+class TestCompiledSlotPath:
+    """After the first slot compiles the blocks, a slot only gathers."""
+
+    def test_later_slots_slice_and_construct_no_sparse_matrix(
+        self, monkeypatch
+    ):
+        from scipy.sparse._compressed import _cs_matrix
+        from scipy.sparse._index import IndexMixin
+
+        counts = {"slices": 0, "constructions": 0}
+        get_item, init = IndexMixin.__getitem__, _cs_matrix.__init__
+
+        def counted_get_item(self, key):
+            counts["slices"] += 1
+            return get_item(self, key)
+
+        def counted_init(self, *args, **kwargs):
+            counts["constructions"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(IndexMixin, "__getitem__", counted_get_item)
+        monkeypatch.setattr(_cs_matrix, "__init__", counted_init)
+        topo, slots, duration = _section6_day_10x()
+        opt = ProfitAwareOptimizer(topo, config=OptimizerConfig(sparse=True))
+        opt.plan_slot(*slots[0], slot_duration=duration)
+        # The first slot compiles: the counters do see scipy's work.
+        assert counts["slices"] > 0 and counts["constructions"] > 0
+        counts.update(slices=0, constructions=0)
+        for arrivals, prices in slots[1:]:
+            opt.plan_slot(arrivals, prices, slot_duration=duration)
+            assert opt.last_stats.fallback_level == 0
+        assert counts == {"slices": 0, "constructions": 0}
+
+    def test_compiled_blocks_pivot_like_freshly_sliced_ones(self):
+        # Reference: slice each block per slot and let solve_sparse_lp
+        # build its own CSC and transpose.  The compiled route must give
+        # the same points, pivots and warm states bit for bit, warm and
+        # cold, with the objective changing on every other slot.
+        topo = _small_topology()
+        rng = np.random.default_rng(12)
+        cache = FixedLevelLPCache(topo, sparse=True)
+        blocks, coupling = class_blocks(
+            topo.num_classes, topo.num_frontends, topo.num_datacenters
+        )
+        compiled = states = None
+        ref_states = [None] * len(blocks)
+        prices = rng.uniform(0.03, 0.1, 2)
+        for t in range(8):
+            if t % 2:
+                prices = rng.uniform(0.03, 0.1, 2)
+            lp, _ = cache.build(SlotInputs(
+                topo, arrivals=rng.uniform(100.0, 800.0, (2, 2)),
+                prices=prices,
+            ))
+            if compiled is None:
+                compiled = compile_decomposition(lp, blocks, coupling)
+            result = solve_decomposed(lp, compiled, states=states)
+            assert result is not None
+            states = result.states
+            pivots = 0
+            for k, blk in enumerate(blocks):
+                ref = solve_sparse_lp(LinearProgram(
+                    c=lp.c[blk.var_idx],
+                    a_ub=lp.a_ub[blk.row_idx][:, blk.var_idx],
+                    b_ub=lp.b_ub[blk.row_idx],
+                    lower=lp.lower[blk.var_idx],
+                    upper=lp.upper[blk.var_idx],
+                ), state=ref_states[k])
+                ref_states[k] = ref.state
+                pivots += ref.iterations
+                got = result.solution.x[blk.var_idx]
+                assert ref.x.tobytes() == got.tobytes()
+                assert np.array_equal(ref.state.basis, states[k].basis)
+                assert np.array_equal(ref.state.slack, states[k].slack)
+            assert pivots == result.solution.iterations
+
+    def test_block_solves_report_sparse_counters(self):
+        topo, slots, duration = _section6_day_10x()
+        collector = InMemoryCollector()
+        opt = ProfitAwareOptimizer(topo, config=OptimizerConfig(
+            sparse=True, collector=collector,
+        ))
+        for arrivals, prices in slots:
+            opt.plan_slot(arrivals, prices, slot_duration=duration)
+        counters = collector.counters
+        pivots = sum(trace.iterations for trace in collector.slot_traces)
+        assert counters["sparse.iterations"] == pivots == 33
+        assert counters["sparse.decomposed_solves"] == len(slots)
+        block_solves = (counters.get("sparse.warm_hits", 0)
+                        + counters.get("sparse.cold_solves", 0))
+        assert block_solves == (
+            topo.num_classes * counters["sparse.decomposed_solves"]
+        )
 
 
 class TestParallelMap:
@@ -365,7 +554,7 @@ class TestBlockFailureAttribution:
         K, S, L = (topo.num_classes, topo.num_frontends,
                    topo.num_datacenters)
         blocks, coupling = class_blocks(K, S, L)
-        return lp, blocks, coupling
+        return lp, compile_decomposition(lp, blocks, coupling)
 
     def test_serial_block_crash_carries_class_label(self, monkeypatch):
         from repro.sim.parallel import WorkerError
@@ -379,8 +568,8 @@ class TestBlockFailureAttribution:
             WorkerError,
             match=r"block\[class=0\]: FloatingPointError",
         ):
-            lp, blocks, coupling = self._decomposable()
-            solve_decomposed(lp, blocks, coupling)
+            lp, compiled = self._decomposable()
+            solve_decomposed(lp, compiled)
 
     def test_pooled_block_crash_carries_class_label(self, monkeypatch):
         # Force the pooled branch with workers=2; the label must
@@ -389,12 +578,12 @@ class TestBlockFailureAttribution:
         from repro.sim.parallel import WorkerError
         from repro.solvers import sparse as sparse_mod
 
-        lp, blocks, coupling = self._decomposable()
+        lp, compiled = self._decomposable()
         monkeypatch.setattr(
             sparse_mod, "_solve_block_task", _explode_block
         )
         with pytest.raises(WorkerError, match=r"block\[class="):
-            solve_decomposed(lp, blocks, coupling, workers=2)
+            solve_decomposed(lp, compiled, workers=2)
 
 
 def _square(v):
