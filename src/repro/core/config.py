@@ -71,15 +71,6 @@ class OptimizerConfig:
         the property suite); MILP/big-M/greedy level methods and the
         fallback chain's alternate backends keep using the dense
         solvers.
-    sparse_block_workers:
-        Process-pool size for solving decomposed per-class blocks
-        (``None`` or ``1`` solves blocks serially in-process).  After
-        the symmetry collapse every block is ``(S+L) x (S*L+L)`` at any
-        fleet size (7 x 15 in §VI), so the pool's per-slot overhead is
-        never repaid: serial is the fastest setting at every fleet
-        size, and pooled block solves do not report ``sparse.*``
-        counters to the collector.  Only meaningful with
-        ``sparse=True``.
     collector:
         Telemetry sink (see :mod:`repro.obs`); the default
         :class:`~repro.obs.collectors.NullCollector` disables all
@@ -142,7 +133,6 @@ class OptimizerConfig:
     percentile_sla: Optional[float] = None
     warm_start: bool = True
     sparse: bool = False
-    sparse_block_workers: Optional[int] = None
     collector: Collector = field(default_factory=NullCollector, compare=False)
     fallback: bool = True
     fallback_retries: int = 1
@@ -202,15 +192,6 @@ class OptimizerConfig:
         )
         object.__setattr__(self, "warm_start", bool(self.warm_start))
         object.__setattr__(self, "sparse", bool(self.sparse))
-        if self.sparse_block_workers is not None:
-            object.__setattr__(
-                self, "sparse_block_workers", int(self.sparse_block_workers)
-            )
-            if self.sparse_block_workers < 1:
-                raise ValueError(
-                    "sparse_block_workers must be >= 1, got "
-                    f"{self.sparse_block_workers}"
-                )
         object.__setattr__(self, "fallback", bool(self.fallback))
         object.__setattr__(self, "fallback_retries", int(self.fallback_retries))
         if self.fallback_retries < 0:

@@ -688,7 +688,6 @@ class ProfitAwareOptimizer:
             states=self._sparse_block_states if use_warm else None,
             collector=self.collector,
             max_iterations=max_iterations,
-            workers=self.config.sparse_block_workers,
         )
         t2 = time.perf_counter()
         if decomposed is not None:

@@ -7,6 +7,16 @@ processor-sharing queue, Poisson arrivals are generated at the planned
 per-(front-end, server) rates, and each job's realized sojourn time is
 recorded.
 
+The VMs share no state: each has its own ``arrivals-{k}-{n}`` random
+stream, its own queue and its own statistics.  So each VM runs alone,
+start to finish, in a small kernel over plain lists (:func:`_arrivals`
+and :func:`_serve`) instead of interleaving every VM's events on one
+:class:`~repro.des.engine.Engine` heap.  The kernel draws the same
+variates as :class:`~repro.des.processes.PoissonArrivals` and does the
+same float arithmetic as :class:`~repro.des.server.VirtualMachine`, so
+it gives the same outcome, bit for bit, as those primitives driven by
+one engine (pinned by ``tests/test_property_des.py``).
+
 Two revenue accountings are produced:
 
 * ``mean_delay`` — the paper's: per-VM utility evaluated at the measured
@@ -19,19 +29,17 @@ Two revenue accountings are produced:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cloud.energy import EnergyModel
-from repro.des.engine import Engine
 
 if TYPE_CHECKING:  # avoid the core->queueing->des->core import cycle
     from repro.core.plan import DispatchPlan
-from repro.des.measurements import SojournStats
-from repro.des.processes import PoissonArrivals
-from repro.des.server import VirtualMachine
+from repro.des.processes import SAMPLE_BATCH
 from repro.utils.rng import RandomStreams
 from repro.utils.validation import check_nonnegative, check_positive
 
@@ -42,8 +50,10 @@ __all__ = ["SimulatedSlotOutcome", "ClusterSimulation", "simulate_plan"]
 class SimulatedSlotOutcome:
     """Realized outcome of one simulated slot.
 
-    Revenue figures are dollars over the slot; ``completed`` counts jobs
-    that finished before the horizon.
+    Revenue figures are dollars over the slot.  ``completed`` counts
+    every job that finished, including those that finish while the
+    queues drain after the horizon; ``generated`` counts the jobs that
+    arrived before it.
     """
 
     revenue_mean_delay: float
@@ -78,11 +88,108 @@ class SimulatedSlotOutcome:
         return worst
 
 
-class _RecordingVM(VirtualMachine):
-    """A VM that also keeps raw sojourns for per-job accounting."""
+def _arrivals(rng: np.random.Generator, rate: float,
+              horizon: float) -> Tuple[List[float], List[float]]:
+    """Arrival times and work requirements of one Poisson stream.
 
-    def __init__(self, engine: Engine, rate: float):
-        super().__init__(engine, rate, stats=SojournStats(keep_raw=True))
+    Draws exactly what :class:`~repro.des.processes.PoissonArrivals`
+    draws from ``rng``: blocks of ``SAMPLE_BATCH`` standard exponentials
+    (an even count) consumed as alternating gap and work, gaps scaled by
+    ``1 / rate`` and summed one after another from time 0, stopping at
+    the first arrival time at or beyond ``horizon``.
+    """
+    gap_scale = 1.0 / rate
+    times: List[float] = []
+    works: List[float] = []
+    last = 0.0
+    while True:
+        block = rng.standard_exponential(SAMPLE_BATCH)
+        gaps = block[0::2] * gap_scale
+        # A cumulative sum seeded with the previous block's last time
+        # adds the gaps in the same order as the per-arrival loop.
+        gaps[0] += last
+        stamps = np.cumsum(gaps)
+        cut = int(np.searchsorted(stamps, horizon))
+        times += stamps[:cut].tolist()
+        works += block[1:2 * cut:2].tolist()
+        if cut < stamps.shape[0]:
+            return times, works
+        last = float(stamps[-1])
+
+
+def _serve(times: List[float], works: List[float], rate: float,
+           warmup: float) -> Tuple[List[float], int, float]:
+    """Run one egalitarian processor-sharing VM until its queue drains.
+
+    Returns every job's sojourn in completion order, plus the count and
+    mean of the sojourns of jobs that arrived at or after ``warmup``
+    (folded in completion order with
+    :class:`~repro.des.measurements.SojournStats`' Welford update).
+
+    The arithmetic is :class:`~repro.des.server.VirtualMachine`'s.  Each
+    event first drains ``per_job = (now - last) * rate / n`` from every
+    resident job, clamped at 0.  The first job with the least remaining
+    work ``rw`` then completes next, at ``now + rw * n / rate``.  When an
+    arrival and that completion fall at exactly the same time, they run
+    in the engine heap's ``seq`` order: the completion goes first only
+    if it was scheduled while the VM's previous arrival was being
+    processed (that arrival scheduled its completion before it
+    scheduled its successor); a completion scheduled by a completion
+    comes after the pending arrival.
+    """
+    arrived: List[float] = []  # arrival time of each resident job
+    left: List[float] = []  # remaining work of each resident job
+    sojourns: List[float] = []
+    record = sojourns.append
+    measured = 0
+    mean = 0.0
+    last = 0.0
+    done = math.inf  # time of the pending completion
+    victim = 0  # index of the job it completes
+    by_arrival = False  # whether the latest arrival scheduled it
+    upcoming = 0
+    total = len(times)
+    while True:
+        if upcoming < total:
+            now = times[upcoming]
+            if now < done or (now == done and not by_arrival):
+                if left:
+                    per_job = (now - last) * rate / len(left)
+                    left = [w - per_job if w > per_job else 0.0 for w in left]
+                last = now
+                arrived.append(now)
+                left.append(works[upcoming])
+                upcoming += 1
+                least = min(left)
+                victim = left.index(least)
+                done = now + least * len(left) / rate
+                by_arrival = True
+                continue
+        elif not left:
+            return sojourns, measured, mean
+        now = done
+        resident = len(left)
+        start = arrived.pop(victim)
+        del left[victim]
+        if now < start:
+            raise ValueError("departure before arrival")
+        sojourn = now - start
+        record(sojourn)
+        if start >= warmup:
+            measured += 1
+            mean += (sojourn - mean) / measured
+        if left:
+            # The departed job shared this interval: drain the others
+            # at the rate split ``resident`` ways.
+            per_job = (now - last) * rate / resident
+            left = [w - per_job if w > per_job else 0.0 for w in left]
+            least = min(left)
+            victim = left.index(least)
+            done = now + least * len(left) / rate
+        else:
+            done = math.inf
+        last = now
+        by_arrival = False
 
 
 class ClusterSimulation:
@@ -97,9 +204,12 @@ class ClusterSimulation:
     seed:
         Root seed; every (class, server) arrival stream is independent.
     warmup_fraction:
-        Leading fraction of the horizon excluded from the sojourn means
-        used in the ``mean_delay`` accounting (revenue/cost counts still
-        include all completed jobs).
+        Leading fraction of the horizon whose arrivals are left out of
+        the sojourn means: ``mean_sojourn`` and the utility level of the
+        ``mean_delay`` accounting.  ``completed``, both revenues and
+        both costs count every job.  A VM none of whose jobs arrived
+        after the warmup has no measured mean and earns no mean-delay
+        revenue.
     """
 
     def __init__(
@@ -126,64 +236,48 @@ class ClusterSimulation:
             raise ValueError(
                 f"prices must have shape {(topo.num_datacenters,)}"
             )
-        engine = Engine()
         loads = plan.server_loads()  # (K, N)
-        service = plan.server_service_rates()  # (K, N)
+        shares = plan.shares  # (K, N)
+        active = (loads > 0) & (shares > 0)
+        arrival_rates = loads[active]
+        vm_rates = shares[active] * plan.server_service_rates()[active]
+        check_positive(np.concatenate((vm_rates, arrival_rates)), "rate")
         horizon = self.slot_duration
         warmup = self.warmup_fraction * horizon
 
-        vms: Dict[Tuple[int, int], _RecordingVM] = {}
-        generators: List[PoissonArrivals] = []
-        for k in range(topo.num_classes):
-            for n in range(topo.num_servers):
-                lam = float(loads[k, n])
-                share = float(plan.shares[k, n])
-                if lam <= 0 or share <= 0:
-                    continue
-                vm = _RecordingVM(engine, rate=share * service[k, n])
-                vm.stats.warmup_time = warmup
-                vms[(k, n)] = vm
-                generators.append(PoissonArrivals(
-                    engine, rate=lam, sink=vm.arrive,
-                    seed=self._streams.stream(f"arrivals-{k}-{n}"),
-                    stop_time=horizon,
-                ))
-        engine.run_until(horizon)
-        # Let in-flight jobs drain (bounded residual work).
-        engine.run(max_events=1_000_000)
-
-        revenue_mean = 0.0
-        revenue_jobs = 0.0
-        completed = 0
-        generated = sum(g.generated for g in generators)
-        mean_sojourn: Dict[Tuple[int, int], float] = {}
-        predicted: Dict[Tuple[int, int], float] = {}
         analytic = plan.delays()
-        for (k, n), vm in vms.items():
-            tuf = topo.request_classes[k].tuf
-            raw = np.asarray(vm.stats.raw)
-            if raw.size:
-                revenue_jobs += float(np.sum(tuf.utility(raw)))
-                completed += int(raw.size)
-            if vm.stats.count:
-                mean_sojourn[(k, n)] = vm.stats.mean
-                predicted[(k, n)] = float(analytic[k, n])
-                revenue_mean += float(tuf.utility(vm.stats.mean)) * raw.size
-
-        # Costs follow realized *generated* traffic (every dispatched
-        # request is transferred and processed, utility or not).
-        per_pair_counts = {
-            key: generators[i].generated
-            for i, key in enumerate(vms.keys())
-        }
-        energy_model = EnergyModel(topo.datacenters)
-        energy_per_req = energy_model.per_request_cost(prices)  # (K, L)
+        energy_per_req = EnergyModel(topo.datacenters).per_request_cost(
+            prices)  # (K, L)
         transfer_per_req = topo.transfer_model().per_request_cost()  # (K,S,L)
         dc_of = plan._dc_of_server()
+        rates = plan.rates  # (K, S, N)
+        revenue_mean = 0.0
+        revenue_jobs = 0.0
         energy_cost = 0.0
         transfer_cost = 0.0
-        rates = plan.rates  # (K, S, N)
-        for (k, n), count in per_pair_counts.items():
+        completed = 0
+        generated = 0
+        mean_sojourn: Dict[Tuple[int, int], float] = {}
+        predicted: Dict[Tuple[int, int], float] = {}
+        ks, ns = np.nonzero(active)
+        for k, n, lam, rate in zip(ks.tolist(), ns.tolist(),
+                                   arrival_rates.tolist(), vm_rates.tolist()):
+            times, works = _arrivals(
+                self._streams.stream(f"arrivals-{k}-{n}"), lam, horizon)
+            sojourns, measured, mean = _serve(times, works, rate, warmup)
+            tuf = topo.request_classes[k].tuf
+            if sojourns:
+                revenue_jobs += float(np.sum(tuf.utility(np.asarray(sojourns))))
+                completed += len(sojourns)
+            if measured:
+                mean_sojourn[(k, n)] = mean
+                predicted[(k, n)] = float(analytic[k, n])
+                revenue_mean += float(tuf.utility(mean)) * len(sojourns)
+
+            # Costs follow realized *generated* traffic (every dispatched
+            # request is transferred and processed, utility or not).
+            count = len(times)
+            generated += count
             l = int(dc_of[n])
             energy_cost += float(energy_per_req[k, l]) * count
             # Split the count over front-ends proportionally to the plan.

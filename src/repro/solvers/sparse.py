@@ -28,8 +28,7 @@ provides three pieces that ride the CSR constraint matrices built by
   block's CSR, CSC and transpose, its bounds and implied-upper-bound
   entry map (:class:`ImpliedBounds`), and the coupling rows' CSR.  Per
   slot, :func:`solve_decomposed` only gathers each block's slice of
-  ``c`` and ``b_ub``, solves the blocks (optionally across the
-  :func:`repro.sim.parallel.parallel_map` process pool), and
+  ``c`` and ``b_ub``, solves the blocks one after another, and
   recombines.  If the recombined point satisfies the dropped coupling
   rows, the relaxation optimum is feasible and hence globally optimal;
   otherwise the caller joint-solves (the optimistic check —
@@ -767,14 +766,12 @@ class DecomposedSolution:
     num_blocks: int
 
 
-def _solve_block_task(
-    args: Tuple[
-        CompiledBlock, np.ndarray, np.ndarray, Optional[SolverState],
-        Optional[int], Optional[Collector],
-    ],
+def _solve_block(
+    block: CompiledBlock, c: np.ndarray, b_ub: np.ndarray,
+    block_state: Optional[SolverState], collector: Optional[Collector],
+    max_iterations: Optional[int],
 ) -> Solution:
-    """Top-level (picklable) single-block solve for the process pool."""
-    block, c, b_ub, block_state, max_iterations, collector = args
+    """Solve one compiled block at this slot's ``c`` and ``b_ub``."""
     block_lp = LinearProgram(
         c=c, a_ub=block.matrix, b_ub=b_ub,
         lower=block.lower, upper=block.upper,
@@ -790,24 +787,22 @@ def solve_decomposed(  # reprolint: disable=RP004
     states: Optional[Sequence[Optional[SolverState]]] = None,
     collector: Optional[Collector] = None,
     max_iterations: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> Optional[DecomposedSolution]:
     """Optimistically solve ``lp`` block by block; ``None`` on failure.
 
     Gathers each compiled block's slice of ``lp.c`` and ``lp.b_ub``,
     solves every block independently (each with its own warm-start
-    token; ``workers > 1`` fans the blocks out over
-    :func:`repro.sim.parallel.parallel_map`), and recombines.  When the
-    recombined point satisfies the dropped coupling rows, the relaxation
-    optimum is feasible for the full program and therefore globally
-    optimal.  Returns ``None`` — caller joint-solves — when a block
-    fails or a coupling row is violated.  Raises ``ValueError`` when
-    ``lp``'s matrix or bounds are not the ones ``compiled`` was built
-    from.
+    token), and recombines.  When the recombined point satisfies the
+    dropped coupling rows, the relaxation optimum is feasible for the
+    full program and therefore globally optimal.  Returns ``None`` —
+    caller joint-solves — when a block fails or a coupling row is
+    violated.  Raises ``ValueError`` when ``lp``'s matrix or bounds are
+    not the ones ``compiled`` was built from, and
+    :class:`~repro.sim.parallel.WorkerError` naming the block's class
+    when a block solve raises.
 
-    ``collector`` receives the serial block solves' ``sparse.*``
-    counters as well as the decomposition's own; pooled block solves
-    run in worker processes, which cannot report to it.
+    ``collector`` receives the block solves' ``sparse.*`` counters as
+    well as the decomposition's own.
     """
     if not compiled.matches(lp):
         raise ValueError(
@@ -820,33 +815,21 @@ def solve_decomposed(  # reprolint: disable=RP004
         list(states) if states is not None and len(states) == len(blocks)
         else [None] * len(blocks)
     )
-    pooled = workers is not None and workers > 1 and len(blocks) > 1
-    tasks = [
-        (blk, lp.c[blk.var_idx], lp.b_ub[blk.row_idx], block_state,
-         max_iterations, None if pooled else collector)
-        for blk, block_state in zip(blocks, block_states)
-    ]
-    # Blocks are per-class (see class_blocks), so label worker failures
-    # with the originating block's class index — a crash inside one
-    # block solve must not surface as an anonymous pool error.
-    labels = [f"block[class={k}]" for k in range(len(tasks))]
-    if pooled:
-        from repro.sim.parallel import parallel_map
+    from repro.sim.parallel import WorkerError
 
-        results = parallel_map(
-            _solve_block_task, tasks, workers=workers, labels=labels
-        )
-    else:
-        from repro.sim.parallel import WorkerError
-
-        results = []
-        for label, task in zip(labels, tasks):
-            try:
-                results.append(_solve_block_task(task))
-            except Exception as exc:
-                raise WorkerError(
-                    f"{label}: {type(exc).__name__}: {exc}"
-                ) from exc
+    results: List[Solution] = []
+    for k, (blk, block_state) in enumerate(zip(blocks, block_states)):
+        # Blocks are per-class (see class_blocks), so a crash inside one
+        # block solve names the originating block's class index.
+        try:
+            results.append(_solve_block(
+                blk, lp.c[blk.var_idx], lp.b_ub[blk.row_idx], block_state,
+                collector, max_iterations,
+            ))
+        except Exception as exc:
+            raise WorkerError(
+                f"block[class={k}]: {type(exc).__name__}: {exc}"
+            ) from exc
     if any(not r.ok for r in results):
         _count(collector, "sparse.block_failures")
         return None

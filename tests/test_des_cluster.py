@@ -26,6 +26,18 @@ class TestClusterSimulation:
         # Nearly all generated jobs complete once the queue drains.
         assert outcome.completed == outcome.generated
 
+    def test_warmup_only_drops_jobs_from_sojourn_means(self, planned):
+        # Warmup jobs still complete, earn revenue and cost money; only
+        # the sojourn means leave them out.
+        _, plan, arrivals, prices = planned
+        full = simulate_plan(plan, prices, slot_duration=50.0, seed=3)
+        half = simulate_plan(plan, prices, slot_duration=50.0, seed=3,
+                             warmup_fraction=0.5)
+        assert half.completed == half.generated == full.generated
+        assert half.revenue_per_job == full.revenue_per_job
+        assert half.energy_cost == full.energy_cost
+        assert half.mean_sojourn != full.mean_sojourn
+
     def test_mean_sojourns_match_eq1(self, planned):
         _, plan, arrivals, prices = planned
         outcome = simulate_plan(plan, prices, slot_duration=120.0, seed=5,
@@ -79,6 +91,19 @@ class TestClusterSimulation:
             ClusterSimulation(plan, slot_duration=1.0, warmup_fraction=1.0)
         with pytest.raises(ValueError, match="prices"):
             simulate_plan(plan, np.array([0.1]), slot_duration=1.0)
+
+    def test_overflowing_vm_rate_rejected(self, small_topology):
+        # Two finite per-front-end rates whose sum overflows: the VM's
+        # arrival rate is infinite and the simulation refuses to start.
+        from repro.core.plan import DispatchPlan
+        rates = np.zeros((2, 2, 5))
+        rates[0, :, 0] = 1e308
+        shares = np.zeros((2, 5))
+        shares[0, 0] = 0.5
+        plan = DispatchPlan(small_topology, rates, shares)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="rate must be finite"):
+            simulate_plan(plan, np.array([0.1, 0.1]), slot_duration=1.0)
 
     def test_empty_plan(self, small_topology):
         from repro.core.plan import DispatchPlan

@@ -20,7 +20,6 @@ from repro.core.tuf import ConstantTUF
 from repro.experiments.section6 import SERVERS_PER_DC, section6_experiment
 from repro.obs.collectors import InMemoryCollector
 from repro.sim.failures import degraded_topology
-from repro.sim.parallel import parallel_map
 from repro.solvers.base import LinearProgram, SolveStatus
 from repro.solvers.linprog import solve_lp
 from repro.solvers.sparse import (
@@ -328,21 +327,6 @@ class TestDecomposition:
         assert result is None
         assert collector.counters.get("sparse.coupling_rejects", 0) == 1
 
-    def test_worker_pool_matches_serial(self):
-        topo = _small_topology()
-        lp, blocks, coupling = self._lp_and_blocks(
-            topo,
-            arrivals=np.array([[500.0, 300.0], [200.0, 400.0]]),
-            prices=np.array([0.05, 0.08]),
-        )
-        compiled = compile_decomposition(lp, blocks, coupling)
-        serial = solve_decomposed(lp, compiled)
-        pooled = solve_decomposed(lp, compiled, workers=2)
-        assert serial is not None and pooled is not None
-        assert pooled.solution.objective == pytest.approx(
-            serial.solution.objective, rel=1e-9
-        )
-
     def test_validate_rejects_overlapping_blocks(self):
         topo = _small_topology()
         lp, blocks, coupling = self._lp_and_blocks(
@@ -480,67 +464,6 @@ class TestCompiledSlotPath:
         )
 
 
-class TestParallelMap:
-    def test_preserves_order_serial(self):
-        assert parallel_map(lambda v: v * v, [3, 1, 2]) == [9, 1, 4]
-
-    def test_preserves_order_pooled(self):
-        assert parallel_map(_square, list(range(8)), workers=2) == [
-            v * v for v in range(8)
-        ]
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            parallel_map(_square, [1], workers=0)
-
-    def test_exceptions_propagate(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(_explode, [1])
-
-    def test_unlabeled_exception_type_unchanged(self):
-        # Without labels the original exception class must survive —
-        # callers may be catching it specifically.
-        from repro.sim.parallel import WorkerError
-
-        with pytest.raises(RuntimeError) as excinfo:
-            parallel_map(_explode, [1, 2])
-        assert not isinstance(excinfo.value, WorkerError)
-
-    def test_labels_attribute_failures_serial(self):
-        from repro.sim.parallel import WorkerError
-
-        with pytest.raises(WorkerError, match=r"item\[1\]: RuntimeError"):
-            parallel_map(
-                _explode_on_two, [1, 2], labels=["item[0]", "item[1]"]
-            )
-
-    def test_labels_attribute_failures_pooled(self):
-        from repro.sim.parallel import WorkerError
-
-        items = list(range(4))
-        with pytest.raises(WorkerError, match=r"item\[2\]: RuntimeError"):
-            parallel_map(
-                _explode_on_two, items, workers=2,
-                labels=[f"item[{i}]" for i in items],
-            )
-
-    def test_labels_chain_original_cause_serial(self):
-        from repro.sim.parallel import WorkerError
-
-        with pytest.raises(WorkerError) as excinfo:
-            parallel_map(_explode, [1], labels=["only"])
-        assert isinstance(excinfo.value.__cause__, RuntimeError)
-
-    def test_label_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="labels"):
-            parallel_map(_square, [1, 2], labels=["just-one"])
-
-    def test_successful_labeled_map_returns_results(self):
-        assert parallel_map(
-            _square, [1, 2, 3], labels=["a", "b", "c"]
-        ) == [1, 4, 9]
-
-
 class TestBlockFailureAttribution:
     """A crash inside one decomposed block must name its class block."""
 
@@ -560,10 +483,10 @@ class TestBlockFailureAttribution:
         from repro.sim.parallel import WorkerError
         from repro.solvers import sparse as sparse_mod
 
-        def boom(task):
+        def boom(*args):
             raise FloatingPointError("synthetic block crash")
 
-        monkeypatch.setattr(sparse_mod, "_solve_block_task", boom)
+        monkeypatch.setattr(sparse_mod, "_solve_block", boom)
         with pytest.raises(
             WorkerError,
             match=r"block\[class=0\]: FloatingPointError",
@@ -571,37 +494,18 @@ class TestBlockFailureAttribution:
             lp, compiled = self._decomposable()
             solve_decomposed(lp, compiled)
 
-    def test_pooled_block_crash_carries_class_label(self, monkeypatch):
-        # Force the pooled branch with workers=2; the label must
-        # survive the process boundary (no __cause__ there, so the
-        # class name is folded into the message).
+    def test_serial_block_crash_chains_original_cause(self, monkeypatch):
         from repro.sim.parallel import WorkerError
         from repro.solvers import sparse as sparse_mod
 
+        def boom(*args):
+            raise FloatingPointError("synthetic block crash")
+
+        monkeypatch.setattr(sparse_mod, "_solve_block", boom)
         lp, compiled = self._decomposable()
-        monkeypatch.setattr(
-            sparse_mod, "_solve_block_task", _explode_block
-        )
-        with pytest.raises(WorkerError, match=r"block\[class="):
-            solve_decomposed(lp, compiled, workers=2)
-
-
-def _square(v):
-    return v * v
-
-
-def _explode(v):
-    raise RuntimeError("boom")
-
-
-def _explode_on_two(v):
-    if v == 2:
-        raise RuntimeError("boom at two")
-    return v
-
-
-def _explode_block(task):
-    raise FloatingPointError("synthetic block crash")
+        with pytest.raises(WorkerError) as excinfo:
+            solve_decomposed(lp, compiled)
+        assert isinstance(excinfo.value.__cause__, FloatingPointError)
 
 
 class TestOptimizerSparsePath:
