@@ -60,7 +60,7 @@ def main() -> None:
         plan = optimizer.plan_slot(arrivals, prices, slot_duration=1.0)
         profit = evaluate_plan(plan, arrivals, prices).net_profit
         print(f"  {label:>22s}: ${profit:,.0f} "
-              f"({optimizer.last_stats.wall_time * 1e3:.1f} ms)")
+              f"({optimizer.last_stats.total_time * 1e3:.1f} ms)")
 
 
 if __name__ == "__main__":

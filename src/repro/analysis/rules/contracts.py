@@ -220,8 +220,8 @@ class SwallowedExceptionRule(Rule):
     rationale = (
         "The fallback chain (PR 3) turns solver failures into recorded "
         "degradations: every caught error must either re-raise, warn, or "
-        "land in a failure record (SolveStats.failure, "
-        "SimulationResult.failures, fallback counters). A bare or broad "
+        "land in a failure record (SlotTrace.failure, "
+        "SimulationResult.failures). A bare or broad "
         "except that just swallows leaves the run reporting a clean, "
         "wrong profit — in this domain a wrong plan is a wrong dollar "
         "amount, not an exception."
@@ -249,7 +249,7 @@ class SwallowedExceptionRule(Rule):
                         ctx, handler,
                         f"{description} swallows the error without "
                         "re-raising, warning, or recording a failure "
-                        "(SolveStats.failure / SimulationResult.failures); "
+                        "(SlotTrace.failure / SimulationResult.failures); "
                         "a silently-dropped solver error becomes a wrong "
                         "profit number",
                     )

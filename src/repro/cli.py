@@ -358,12 +358,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     traces = collector.slot_traces
     rows = [
-        [t.slot, t.method, t.warm_start, t.fallback, t.iterations,
-         t.objective, t.total_time * 1e3, t.phase_time_total * 1e3]
+        [t.slot, t.method, t.warm_start, t.fallback, t.fallback_stage,
+         t.iterations, t.objective, t.total_time * 1e3,
+         t.phase_time_total * 1e3]
         for t in traces
     ]
     print(render_table(
-        ["slot", "method", "warm", "fb", "iters", "objective ($)",
+        ["slot", "method", "warm", "fb", "stage", "iters", "objective ($)",
          "total ms", "phases ms"],
         rows, title=f"{exp.name}: per-slot solver traces", float_fmt=",.2f",
     ))

@@ -58,10 +58,11 @@ class Dispatcher(Protocol):
 
     Optional hooks controllers use when present (not part of the
     protocol): ``reset_warm_state()`` clears cross-slot solver state at
-    the start of a run; ``last_stats`` exposes per-solve diagnostics;
-    ``collector`` receives telemetry; ``topology`` describes the
-    static system (the streaming loop derives admission capacity from
-    it).
+    the start of a run; ``collector`` receives telemetry; ``topology``
+    describes the static system (the streaming loop derives admission
+    capacity from it).  No controller reads a dispatcher's per-solve
+    record: the optimizer's ``last_stats`` is the
+    :class:`~repro.obs.trace.SlotTrace` its collector receives.
     """
 
     name: str
@@ -154,11 +155,6 @@ class SlottedController:
                 plan = self.dispatcher.plan_slot(
                     planned, prices, slot_duration=self.trace.slot_duration
                 )
-            # Surface degraded slots at the loop level too, so a run's
-            # robustness shows up next to its timings.
-            stats = getattr(self.dispatcher, "last_stats", None)
-            if stats is not None and getattr(stats, "fallback_level", 0) > 0:
-                collector.increment("controller.fallback_slots")
             # A predictive plan may overshoot the true arrivals; cap the
             # dispatched rates at what actually arrived before scoring.
             if self._predictors is not None:

@@ -23,8 +23,7 @@ time study since its size grows with the server count).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,46 +64,13 @@ from repro.solvers.sparse import (
 )
 from repro.solvers.tolerances import ZERO_TOL
 
-__all__ = ["OptimizerConfig", "ProfitAwareOptimizer", "SolveStats"]
+__all__ = ["OptimizerConfig", "ProfitAwareOptimizer"]
 
-
-@dataclass(frozen=True)
-class SolveStats:
-    """Diagnostics from the most recent ``plan_slot`` call."""
-
-    method: str
-    formulation: str
-    wall_time: float
-    num_variables: int
-    num_constraints: int
-    iterations: int = 0
-    nodes: int = 0
-    objective: float = 0.0
-    lp_evaluations: int = 0
-    #: True when this solve was seeded with state from an earlier slot
-    #: (a solver state and/or a greedy level vector).
-    warm_started: bool = False
-    #: ``"off"``/``"cold"``/``"hit"``/``"miss"`` — whether warm-starting
-    #: was enabled, had state to offer, and whether the solver took it.
-    warm_outcome: str = "off"
-    #: Wall seconds spent building/refilling the slot problem.
-    build_time: float = 0.0
-    #: Wall seconds spent inside the solver.
-    solve_time: float = 0.0
-    #: Wall seconds spent on consolidation / spare-capacity passes.
-    postprocess_time: float = 0.0
-    #: Integer number of powered servers implied by the plan's share
-    #: mass (filled by the sparse path's symmetry collapse; 0 elsewhere).
-    active_servers: int = 0
-    #: Position in the fallback chain that produced the plan (0 = the
-    #: requested solver succeeded; see ``OptimizerConfig.fallback``).
-    fallback_level: int = 0
-    #: Name of the winning stage (``"lp"``, ``"lp:simplex"``,
-    #: ``"greedy"``, ``"balanced"``, ...).
-    fallback_stage: str = ""
-    #: ``"; "``-joined error messages of the stages that failed before
-    #: the winning one ("" when the primary solve succeeded).
-    failure: str = ""
+#: What a solve stage returns: the plan, its :class:`SlotTrace` fields
+#: as keyword arguments (so the ``SlotTrace`` constructor checks every
+#: name) and the certifier's capture (``None`` when the stage produced
+#: no certifiable problem).
+_StageResult = Tuple[DispatchPlan, Dict[str, Any], Optional[Dict]]
 
 
 def _explode_topology(topology: CloudTopology) -> CloudTopology:
@@ -151,20 +117,19 @@ class ProfitAwareOptimizer:
     (``level_method=...`` and friends, removed with the PR-2
     deprecation shim) raise ``TypeError``.
 
-    Per-slot diagnostics land on :attr:`last_stats`
-    (:class:`SolveStats`); when ``config.collector`` is enabled, each
-    ``plan_slot`` call additionally emits a
-    :class:`~repro.obs.trace.SlotTrace` and threads the collector
-    through the underlying LP/MILP solvers.
+    Each ``plan_slot`` call leaves one
+    :class:`~repro.obs.trace.SlotTrace` on :attr:`last_stats`; when
+    ``config.collector`` is enabled, the same object is recorded on the
+    collector, which is also threaded through the underlying LP/MILP
+    solvers.
 
     With ``config.fallback`` (the default), a failed solve no longer
     aborts the run: the slot is retried and then re-solved down a chain
     of increasingly conservative stages — alternate exact backend,
     greedy level search, and finally the always-feasible Balanced plan —
     so ``plan_slot`` returns a feasible plan for every slot.  The chain
-    position that produced the plan is reported as
-    :attr:`SolveStats.fallback_level` and in the slot trace's
-    ``fallback``/``failure`` fields.
+    position that produced the plan is reported in the slot trace's
+    ``fallback``/``fallback_stage``/``failure`` fields.
     """
 
     name = "optimized"
@@ -178,25 +143,13 @@ class ProfitAwareOptimizer:
             config = OptimizerConfig()
         self.topology = topology
         self.config = config
-        # Flat mirrors, kept for backward compatibility with pre-config
-        # call sites (and cheaper attribute access on the hot path).
-        self.level_method = config.level_method
-        self.formulation = config.formulation
-        self.lp_method = config.lp_method
-        self.milp_method = config.milp_method
-        self.consolidate = config.consolidate
-        self.apply_pue = config.apply_pue
-        self.use_spare_capacity = config.use_spare_capacity
-        self.deadline_margin = config.deadline_margin
-        self.percentile_sla = config.percentile_sla
-        self._delay_factor = config.delay_factor
-        self.warm_start = config.warm_start
         #: Telemetry sink; reassignable (e.g. by ``run_simulation``).
         self.collector: Collector = config.collector
         #: Slot index stamped onto the next emitted trace; advanced by
         #: every ``plan_slot`` call, reset by :meth:`reset_warm_state`.
         self.slot_index = 0
-        self.last_stats: Optional[SolveStats] = None
+        #: The most recent ``plan_slot`` call's record.
+        self.last_stats: Optional[SlotTrace] = None
         self._multilevel = any(
             rc.tuf.num_levels > 1 for rc in topology.request_classes
         )
@@ -239,14 +192,20 @@ class ProfitAwareOptimizer:
         prices: np.ndarray,
         slot_duration: float = 1.0,
     ) -> DispatchPlan:
-        """Solve one slot and return the dispatch plan."""
+        """Solve one slot and return the dispatch plan.
+
+        The slot's :class:`~repro.obs.trace.SlotTrace` becomes
+        :attr:`last_stats` and, when the collector is enabled, is
+        recorded on it.
+        """
         if not slot_duration > 0.0:
             raise ValueError(
                 f"slot_duration must be positive (got {slot_duration}); "
                 "it is the slot length in hours over which the arrival "
                 "rates apply — e.g. 1.0 for the paper's hourly slots"
             )
-        method = self.level_method
+        config = self.config
+        method = config.level_method
         if method == "auto":
             method = "milp" if self._multilevel else "lp"
         if method == "lp" and self._multilevel:
@@ -259,96 +218,41 @@ class ProfitAwareOptimizer:
             arrivals=arrivals,
             prices=prices,
             slot_duration=slot_duration,
-            apply_pue=self.apply_pue,
-            deadline_scale=self.deadline_margin,
-            delay_factor=self._delay_factor,
+            apply_pue=config.apply_pue,
+            deadline_scale=config.deadline_margin,
+            delay_factor=config.delay_factor,
         )
         audit_findings = self._audit_inputs(inputs)
         start = time.perf_counter()
-        if self.config.fallback:
-            plan, stats, fallback_level, fallback_stage, failure = \
-                self._solve_with_fallback(method, inputs, start)
-        else:
-            plan, stats = self._solve_stage(
-                method, inputs,
-                budget=self.config.solver_iteration_budget,
+        if config.fallback:
+            plan, fields, payload = self._solve_with_fallback(
+                method, inputs, start
             )
-            fallback_level, fallback_stage, failure = 0, method, ""
-        certificates = self._certify_solution(stats.pop("certify", None),
-                                              inputs)
-        post_start = time.perf_counter()
-        if self.consolidate:
-            plan = consolidate_plan(plan)
-        if self.use_spare_capacity:
-            plan = plan.with_spare_capacity_distributed()
-        postprocess_time = time.perf_counter() - post_start
-        elapsed = time.perf_counter() - start
-        if not self.warm_start:
-            warm_outcome = "off"
-        elif not stats.get("warm_offered", False):
-            warm_outcome = "cold"
-        elif stats.get("warm_used", False):
-            warm_outcome = "hit"
         else:
-            warm_outcome = "miss"
-        self.last_stats = SolveStats(
-            method=method,
-            formulation=self.formulation,
-            wall_time=elapsed,
-            num_variables=int(stats.get("num_variables", 0)),
-            num_constraints=int(stats.get("num_constraints", 0)),
-            iterations=int(stats.get("iterations", 0)),
-            nodes=int(stats.get("nodes", 0)),
-            objective=float(stats.get("objective", 0.0)),
-            lp_evaluations=int(stats.get("lp_evaluations", 0)),
-            warm_started=bool(stats.get("warm_offered", False)),
-            warm_outcome=warm_outcome,
-            build_time=float(stats.get("build_time", 0.0)),
-            solve_time=float(stats.get("solve_time", 0.0)),
-            postprocess_time=postprocess_time,
-            active_servers=int(stats.get("active_servers", 0)),
-            fallback_level=fallback_level,
-            fallback_stage=fallback_stage,
-            failure=failure,
-        )
+            plan, fields, payload = self._solve_stage(
+                method, inputs, budget=config.solver_iteration_budget,
+            )
+            fields["fallback_stage"] = method
+        certificates = self._certify_solution(payload, inputs)
+        post_start = time.perf_counter()
+        if config.consolidate:
+            plan = consolidate_plan(plan)
+        if config.use_spare_capacity:
+            plan = plan.with_spare_capacity_distributed()
+        fields["phase_times"]["postprocess"] = time.perf_counter() - post_start
         slot = self.slot_index
         self.slot_index = slot + 1
-        collector = self.collector
-        if collector.enabled:
-            collector.increment("optimizer.slots")
-            collector.increment(f"optimizer.warm_{warm_outcome}")
-            collector.observe_time("optimizer.plan_slot", elapsed)
-            if fallback_level > 0:
-                collector.increment("optimizer.fallbacks")
-                collector.increment(f"optimizer.fallback_{fallback_stage}")
-            collector.record_slot(SlotTrace(
-                slot=slot,
-                method=method,
-                formulation=self.formulation,
-                warm_start=warm_outcome,
-                objective=float(stats.get("objective", 0.0)),
-                total_time=elapsed,
-                phase_times={
-                    "build": float(stats.get("build_time", 0.0)),
-                    "solve": float(stats.get("solve_time", 0.0)),
-                    "postprocess": postprocess_time,
-                    # The sparse path adds disjoint stage timings
-                    # (collapse/decompose/expand) so fleet benches can
-                    # see where the time went.
-                    **{key: float(value) for key, value
-                       in stats.get("extra_phases", {}).items()},
-                },
-                iterations=int(stats.get("iterations", 0)),
-                nodes=int(stats.get("nodes", 0)),
-                lp_evaluations=int(stats.get("lp_evaluations", 0)),
-                num_variables=int(stats.get("num_variables", 0)),
-                num_constraints=int(stats.get("num_constraints", 0)),
-                residuals=stats.get("residuals", {}),
-                fallback=fallback_level,
-                failure=failure,
-                audit=audit_findings,
-                certificates=certificates,
-            ))
+        trace = self.last_stats = SlotTrace(
+            slot=slot,
+            method=method,
+            formulation=config.formulation,
+            total_time=time.perf_counter() - start,
+            audit=audit_findings,
+            certificates=certificates,
+            **fields,
+        )
+        if self.collector.enabled:
+            self.collector.record_slot(trace)
         return plan
 
     def _audit_inputs(self, inputs: SlotInputs) -> List[Dict]:
@@ -390,10 +294,10 @@ class ProfitAwareOptimizer:
 
         ``payload`` is the winning solve stage's ``{"problem",
         "solution", "plan", "coupling_rows"?}`` capture (stages that
-        produce no certifiable LP — big-M, the balanced baseline — stash
-        nothing, which counts as a skip).  Returns the findings as plain
-        dicts (for the slot trace); raises :class:`SolverError` in
-        ``"error"`` mode when a certificate check reports an
+        produce no certifiable LP — big-M, the balanced baseline —
+        return ``None``, which counts as a skip).  Returns the findings
+        as plain dicts (for the slot trace); raises :class:`SolverError`
+        in ``"error"`` mode when a certificate check reports an
         error-severity finding, *before* the plan is returned.
         """
         if self.config.certify == "off":
@@ -440,7 +344,7 @@ class ProfitAwareOptimizer:
         lp_method: Optional[str] = None,
         milp_method: Optional[str] = None,
         budget: Optional[int] = None,
-    ) -> Tuple[DispatchPlan, Dict]:
+    ) -> _StageResult:
         """Run one solve path; raises :class:`SolverError` on failure.
 
         ``lp_method``/``milp_method`` override the configured backends
@@ -462,11 +366,12 @@ class ProfitAwareOptimizer:
             )
         # bigm
         t0 = time.perf_counter()
-        plan = solve_slot_bigm(inputs, lp_method=lp_method or self.lp_method)
-        return plan, {"num_variables": 0, "num_constraints": 0,
-                      "solve_time": time.perf_counter() - t0}
+        plan = solve_slot_bigm(
+            inputs, lp_method=lp_method or self.config.lp_method
+        )
+        return self._scored(plan, inputs, t0)
 
-    def _solve_baseline(self, inputs: SlotInputs) -> Tuple[DispatchPlan, Dict]:
+    def _solve_baseline(self, inputs: SlotInputs) -> _StageResult:
         """Last-resort stage: the always-feasible Balanced plan.
 
         The price-greedy :class:`BalancedDispatcher` admits load only up
@@ -480,16 +385,52 @@ class ProfitAwareOptimizer:
         plan = self._baseline.plan_slot(
             inputs.arrivals, inputs.prices, slot_duration=inputs.slot_duration
         )
-        outcome = evaluate_plan(
+        return self._scored(plan, inputs, t0)
+
+    def _scored(
+        self, plan: DispatchPlan, inputs: SlotInputs, t0: float
+    ) -> _StageResult:
+        """Result of a stage that reports no objective (big-M, baseline):
+        the plan is scored on the slot (Eq. 1 delays) inside its solve
+        time, which started at ``t0``."""
+        objective = evaluate_plan(
             plan, inputs.arrivals, inputs.prices,
             slot_duration=inputs.slot_duration, apply_pue=inputs.apply_pue,
-        )
+        ).net_profit
         return plan, {
-            "num_variables": 0,
-            "num_constraints": 0,
-            "objective": outcome.net_profit,
-            "solve_time": time.perf_counter() - t0,
+            "objective": objective,
+            "warm_start": self._warm_outcome(False, False),
+            "phase_times": {"build": 0.0, "solve": time.perf_counter() - t0},
+        }, None
+
+    def _solved(
+        self, lp: LinearProgram, solution: Solution, offered: bool,
+        **phase_times: float,
+    ) -> Dict[str, Any]:
+        """The ``SlotTrace`` fields of an exact solve of ``lp``; residuals
+        only when telemetry is on."""
+        fields = {
+            "num_variables": lp.num_variables,
+            "num_constraints": lp.num_constraints,
+            "iterations": solution.iterations,
+            "nodes": solution.nodes,
+            "objective": -solution.objective,
+            "warm_start": self._warm_outcome(
+                offered, solution.warm_start_used
+            ),
+            "phase_times": phase_times,
         }
+        if self.collector.enabled:
+            fields["residuals"] = lp.residuals(solution.x)
+        return fields
+
+    def _warm_outcome(self, offered: bool, used: bool) -> str:
+        """A stage's warm-start facts as a ``SlotTrace.warm_start`` value."""
+        if not self.config.warm_start:
+            return "off"
+        if not offered:
+            return "cold"
+        return "hit" if used else "miss"
 
     def _fallback_stages(self, method: str) -> List[Tuple[str, Dict]]:
         """Ordered rescue stages after the failed primary ``method``.
@@ -501,19 +442,20 @@ class ProfitAwareOptimizer:
         numerical failure in one rarely repeats in another), then the
         greedy level search, then the baseline plan.
         """
+        config = self.config
         stages: List[Tuple[str, Dict]] = []
         if self._multilevel:
             if method != "milp":
                 stages.append(
-                    (f"milp:{self.milp_method}", {"method": "milp"})
+                    (f"milp:{config.milp_method}", {"method": "milp"})
                 )
             else:
-                alt = "bb" if self.milp_method != "bb" else "highs"
+                alt = "bb" if config.milp_method != "bb" else "highs"
                 stages.append((f"milp:{alt}", {"method": "milp",
                                                "milp_method": alt}))
         else:
             alt = ("simplex"
-                   if not (method == "lp" and self.lp_method == "simplex")
+                   if not (method == "lp" and config.lp_method == "simplex")
                    else "highs")
             stages.append((f"lp:{alt}", {"method": "lp", "lp_method": alt}))
         if method != "greedy":
@@ -534,14 +476,14 @@ class ProfitAwareOptimizer:
 
     def _solve_with_fallback(
         self, method: str, inputs: SlotInputs, start: float
-    ) -> Tuple[DispatchPlan, Dict, int, str, str]:
+    ) -> _StageResult:
         """Drive the fallback chain until some stage yields a plan.
 
-        Returns ``(plan, stats, fallback_level, stage_name, failure)``
-        where ``fallback_level`` is the chain position of the winning
-        stage (0 = requested solver) and ``failure`` joins the error
-        messages collected along the way.  The final baseline stage
-        cannot fail, so every call returns a feasible plan.
+        The winning stage's fields gain ``fallback`` (its chain
+        position, 0 = requested solver), ``fallback_stage`` (its name)
+        and ``failure`` (the error messages collected along the way).
+        The final baseline stage cannot fail, so every call returns a
+        feasible plan.
         """
         config = self.config
         failures: List[str] = []
@@ -566,14 +508,15 @@ class ProfitAwareOptimizer:
                     self._drop_solver_state()
                 try:
                     if stage_name == "balanced":
-                        plan, stats = self._solve_baseline(inputs)
+                        result = self._solve_baseline(inputs)
                     else:
-                        plan, stats = self._solve_stage(inputs=inputs,
-                                                        **kwargs)
+                        result = self._solve_stage(inputs=inputs, **kwargs)
                 except SolverError as exc:
                     failures.append(f"{stage_name}: {exc}")
                     continue
-                return plan, stats, level, stage_name, "; ".join(failures)
+                result[1].update(fallback=level, fallback_stage=stage_name,
+                                 failure="; ".join(failures))
+                return result
         raise SolverError(  # pragma: no cover - balanced cannot fail
             "fallback chain exhausted: " + "; ".join(failures)
         )
@@ -583,8 +526,8 @@ class ProfitAwareOptimizer:
     def _build_lp(
         self, inputs: SlotInputs, levels: Optional[np.ndarray] = None
     ) -> Tuple[LinearProgram, Decoder]:
-        per_server = self.formulation == "per_server"
-        if not self.warm_start:
+        per_server = self.config.formulation == "per_server"
+        if not self.config.warm_start:
             return fixed_level_lp(inputs, levels=levels, per_server=per_server)
         if self._lp_cache is None:
             self._lp_cache = FixedLevelLPCache(
@@ -597,20 +540,22 @@ class ProfitAwareOptimizer:
         inputs: SlotInputs,
         lp_method: Optional[str] = None,
         max_iterations: Optional[int] = None,
-    ) -> Tuple[DispatchPlan, Dict]:
+    ) -> _StageResult:
         # A fallback stage re-solving with an alternate backend neither
         # consumes nor overwrites the primary backend's warm state.
         # The sparse/decomposed path serves only the primary stage:
         # fallback stages name their backend explicitly and stay dense,
         # so they remain independent implementations.
-        if self.config.sparse and lp_method is None:
+        config = self.config
+        if config.sparse and lp_method is None:
             return self._solve_lp_sparse(inputs, max_iterations=max_iterations)
-        override = lp_method is not None and lp_method != self.lp_method
-        lp_method = lp_method if lp_method is not None else self.lp_method
+        override = lp_method is not None and lp_method != config.lp_method
+        lp_method = lp_method if lp_method is not None else config.lp_method
+        use_warm = config.warm_start and not override
         t0 = time.perf_counter()
         lp, decoder = self._build_lp(inputs)
         t1 = time.perf_counter()
-        state = self._lp_state if (self.warm_start and not override) else None
+        state = self._lp_state if use_warm else None
         solution = solve_lp(
             lp, method=lp_method, state=state, collector=self.collector,
             max_iterations=max_iterations,
@@ -620,32 +565,21 @@ class ProfitAwareOptimizer:
             raise SolverError(
                 f"slot LP failed: {solution.status.value} {solution.message}"
             )
-        if self.warm_start and not override:
+        if use_warm:
             self._lp_state = solution.state
-        stats = {
-            "num_variables": lp.num_variables,
-            "num_constraints": lp.num_constraints,
-            "iterations": solution.iterations,
-            "objective": -solution.objective,
-            "warm_offered": state is not None,
-            "warm_used": solution.warm_start_used,
-            "build_time": t1 - t0,
-            "solve_time": t2 - t1,
-        }
-        if self.collector.enabled:
-            stats["residuals"] = lp.residuals(solution.x)
+        fields = self._solved(lp, solution, state is not None,
+                              build=t1 - t0, solve=t2 - t1)
         plan = decoder(solution.x)
-        if self.config.certify != "off":
-            stats["certify"] = {
-                "problem": lp, "solution": solution, "plan": plan,
-            }
-        return plan, stats
+        payload = None
+        if config.certify != "off":
+            payload = {"problem": lp, "solution": solution, "plan": plan}
+        return plan, fields, payload
 
     def _solve_lp_sparse(
         self,
         inputs: SlotInputs,
         max_iterations: Optional[int] = None,
-    ) -> Tuple[DispatchPlan, Dict]:
+    ) -> _StageResult:
         """Sparse/decomposed slot solve (``config.sparse``).
 
         Always formulates on the **aggregated** CSR cache — for
@@ -667,7 +601,8 @@ class ProfitAwareOptimizer:
         decomposition succeeded), and ``expand`` (decode back to a
         per-server plan).
         """
-        use_warm = self.warm_start
+        config = self.config
+        use_warm = config.warm_start
         t0 = time.perf_counter()
         if self._sparse_cache is None:
             self._sparse_cache = FixedLevelLPCache(self.topology, sparse=True)
@@ -714,40 +649,29 @@ class ProfitAwareOptimizer:
         t3 = time.perf_counter()
         plan = decoder(solution.x)
         expand_time = time.perf_counter() - t3
+        fields = self._solved(lp, solution, warm_offered, build=t1 - t0,
+                              solve=joint_time, decompose=t2 - t1,
+                              expand=expand_time)
+        if config.formulation == "per_server":
+            fields["phase_times"].update(build=0.0, collapse=t1 - t0)
         # Integer server counts implied by the aggregate share mass.
         n_lam = K * S * L
         dc_shares = solution.x[n_lam:n_lam + K * L].reshape(K, L).sum(axis=0)
-        active_servers = int(np.ceil(np.maximum(dc_shares, 0.0) - ZERO_TOL).sum())
-        extra_phases = {"decompose": t2 - t1, "expand": expand_time}
-        if self.formulation == "per_server":
-            build_time, extra_phases["collapse"] = 0.0, t1 - t0
-        else:
-            build_time = t1 - t0
-        stats = {
-            "num_variables": lp.num_variables,
-            "num_constraints": lp.num_constraints,
-            "iterations": solution.iterations,
-            "objective": -solution.objective,
-            "warm_offered": warm_offered,
-            "warm_used": solution.warm_start_used,
-            "build_time": build_time,
-            "solve_time": joint_time,
-            "extra_phases": extra_phases,
-            "active_servers": active_servers,
-        }
-        if self.collector.enabled:
-            stats["residuals"] = lp.residuals(solution.x)
-        if self.config.certify != "off":
-            stats["certify"] = {
+        fields["active_servers"] = int(
+            np.ceil(np.maximum(dc_shares, 0.0) - ZERO_TOL).sum()
+        )
+        payload = None
+        if config.certify != "off":
+            payload = {
                 "problem": lp, "solution": solution, "plan": plan,
                 "coupling_rows": self._sparse_decomposition.coupling_rows,
             }
-        return plan, stats
+        return plan, fields, payload
 
     def _build_milp(
         self, inputs: SlotInputs
     ) -> Tuple[MixedIntegerProgram, Decoder]:
-        if not self.warm_start:
+        if not self.config.warm_start:
             return multilevel_milp(inputs)
         if self._milp_cache is None or self._milp_cache.topology is not inputs.topology:
             self._milp_cache = MultilevelMILPCache(inputs.topology)
@@ -758,11 +682,15 @@ class ProfitAwareOptimizer:
         inputs: SlotInputs,
         milp_method: Optional[str] = None,
         max_nodes: Optional[int] = None,
-    ) -> Tuple[DispatchPlan, Dict]:
-        override = milp_method is not None and milp_method != self.milp_method
+    ) -> _StageResult:
+        config = self.config
+        override = (milp_method is not None
+                    and milp_method != config.milp_method)
         milp_method = (milp_method if milp_method is not None
-                       else self.milp_method)
-        if self.formulation == "per_server":
+                       else config.milp_method)
+        use_warm = config.warm_start and not override
+        per_server = config.formulation == "per_server"
+        if per_server:
             if self._exploded_topology is None:
                 self._exploded_topology = _explode_topology(self.topology)
             exploded = self._exploded_topology
@@ -780,7 +708,7 @@ class ProfitAwareOptimizer:
         t0 = time.perf_counter()
         mip, decoder = self._build_milp(inputs)
         t1 = time.perf_counter()
-        state = self._milp_state if (self.warm_start and not override) else None
+        state = self._milp_state if use_warm else None
         solution = solve_milp(
             mip, method=milp_method, state=state, collector=self.collector,
             max_nodes=max_nodes,
@@ -790,47 +718,36 @@ class ProfitAwareOptimizer:
             raise SolverError(
                 f"slot MILP failed: {solution.status.value} {solution.message}"
             )
-        if self.warm_start and not override:
+        if use_warm:
             self._milp_state = solution.state
         plan = decoder(solution.x)
-        if self.formulation == "per_server":
+        if per_server:
             plan = DispatchPlan(
                 topology=self.topology,
                 rates=plan.rates,
                 shares=plan.shares,
             )
-        stats = {
-            "num_variables": mip.lp.num_variables,
-            "num_constraints": mip.lp.num_constraints,
-            "iterations": solution.iterations,
-            "nodes": solution.nodes,
-            "objective": -solution.objective,
-            "warm_offered": state is not None,
-            "warm_used": solution.warm_start_used,
-            "build_time": t1 - t0,
-            "solve_time": t2 - t1,
-        }
-        if self.collector.enabled:
-            stats["residuals"] = mip.lp.residuals(solution.x)
-        if self.config.certify != "off":
+        fields = self._solved(mip.lp, solution, state is not None,
+                              build=t1 - t0, solve=t2 - t1)
+        payload = None
+        if config.certify != "off":
             # ``plan`` is re-wrapped on the original topology, so the
             # CT051 profit identity scores it against the original slot
             # inputs; the MILP itself certifies in its own (possibly
             # exploded) space.
-            stats["certify"] = {
-                "problem": mip, "solution": solution, "plan": plan,
-            }
-        return plan, stats
+            payload = {"problem": mip, "solution": solution, "plan": plan}
+        return plan, fields, payload
 
     def _solve_greedy(
         self,
         inputs: SlotInputs,
         lp_method: Optional[str] = None,
         max_iterations: Optional[int] = None,
-    ) -> Tuple[DispatchPlan, Dict]:
-        override = lp_method is not None and lp_method != self.lp_method
-        lp_method = lp_method if lp_method is not None else self.lp_method
-        use_warm = self.warm_start and not override
+    ) -> _StageResult:
+        config = self.config
+        override = lp_method is not None and lp_method != config.lp_method
+        lp_method = lp_method if lp_method is not None else config.lp_method
+        use_warm = config.warm_start and not override
         topo = self.topology
         K, L = topo.num_classes, topo.num_datacenters
         sizes = []
@@ -840,10 +757,15 @@ class ProfitAwareOptimizer:
 
         best_plan: Dict[Tuple[int, ...], DispatchPlan] = {}
         best_solution: Dict[Tuple[int, ...], Solution] = {}
+        # Every level vector's LP has the same shape.
+        num_variables = num_constraints = 0
 
         def evaluate(levels_flat: Tuple[int, ...]) -> float:
+            nonlocal num_variables, num_constraints
             levels = np.asarray(levels_flat, dtype=int).reshape(K, L)
             lp, decoder = self._build_lp(inputs, levels=levels)
+            num_variables, num_constraints = (lp.num_variables,
+                                              lp.num_constraints)
             state = None
             if use_warm:
                 # Prefer the state from the last solve of this exact
@@ -885,23 +807,25 @@ class ProfitAwareOptimizer:
             raise SolverError("greedy level search found no feasible assignment")
         if use_warm:
             self._greedy_levels = vector
-        stats = {
+        fields = {
+            "num_variables": num_variables,
+            "num_constraints": num_constraints,
             "lp_evaluations": evaluations,
             "objective": value,
-            "warm_offered": initial is not None,
-            "warm_used": warm_used,
-            "solve_time": time.perf_counter() - t0,
+            "warm_start": self._warm_outcome(initial is not None, warm_used),
+            "phase_times": {"build": 0.0, "solve": time.perf_counter() - t0},
         }
-        if self.config.certify != "off":
+        payload = None
+        if config.certify != "off":
             # The warm-start cache refills one shared LP object in
             # place, so whatever ``evaluate`` last built may not be the
             # winner's problem — rebuild the winning level vector's LP
             # for the certificate.
             winner_levels = np.asarray(vector, dtype=int).reshape(K, L)
             winner_lp, _ = self._build_lp(inputs, levels=winner_levels)
-            stats["certify"] = {
+            payload = {
                 "problem": winner_lp,
                 "solution": best_solution[vector],
                 "plan": best_plan[vector],
             }
-        return best_plan[vector], stats
+        return best_plan[vector], fields, payload

@@ -16,9 +16,12 @@ uninstrumented runs pay (almost) nothing.
 
 After a run, ``collector.slot_traces`` holds one
 :class:`~repro.obs.trace.SlotTrace` per planned slot (phase timings,
-iteration counts, warm-start outcome, objective, residuals), which
-round-trips to JSONL via :func:`write_traces` / :func:`read_traces`.
-The ``repro trace`` CLI subcommand wraps the whole flow.
+iteration counts, warm-start outcome, objective, residuals, fallback
+level and stage), which round-trips to JSONL via :func:`write_traces` /
+:func:`read_traces`.  A ``SlotTrace`` is the optimizer's only record of
+a solve: it is built on every ``plan_slot`` call, telemetry on or off,
+and kept as ``optimizer.last_stats``; an enabled collector records that
+same object.  The ``repro trace`` CLI subcommand wraps the whole flow.
 """
 
 from repro.obs.collectors import (

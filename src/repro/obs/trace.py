@@ -1,11 +1,13 @@
 """Per-slot trace records and their JSONL serialization.
 
-A :class:`SlotTrace` is the structured record one ``plan_slot`` call
-leaves behind when telemetry is enabled: which solve path ran, how the
-wall time split across phases, how much work the solver did (simplex
-pivots / IPM iterations / B&B nodes / greedy LP evaluations), whether
-the warm-start layer hit, and how tight the returned plan sits against
-the slot constraints.  Traces are plain data — every field serializes
+A :class:`SlotTrace` is the one record a ``plan_slot`` call leaves
+behind: which solve path ran, how the wall time split across phases,
+how much work the solver did (simplex pivots / IPM iterations / B&B
+nodes / greedy LP evaluations), whether the warm-start layer hit,
+which fallback stage produced the plan, and how tight the returned plan
+sits against the slot constraints.  The optimizer keeps it as
+``last_stats`` and, when telemetry is enabled, records the same object
+on its collector.  Traces are plain data — every field serializes
 to one JSON object per line (JSONL), so runs can be appended, streamed,
 and diffed with standard tools.
 """
@@ -45,16 +47,21 @@ class SlotTrace:
     whole ``plan_slot`` call.
     ``residuals`` carries the constraint-violation magnitudes of the
     returned solution in the solved problem's space (see
-    ``LinearProgram.residuals``); empty for solve paths that do not
-    expose the final problem (big-M, greedy).
+    ``LinearProgram.residuals``); empty when telemetry is off and for
+    solve paths that do not expose the final problem (big-M, greedy).
+    ``active_servers`` is the integer number of powered servers implied
+    by the plan's share mass (the sparse path's symmetry collapse fills
+    it; 0 elsewhere).
 
     ``fallback`` is the fault-tolerance level that produced the plan:
     ``0`` means the requested solver succeeded; ``n > 0`` means the
     ``n``-th stage of the optimizer's fallback chain rescued the slot
-    (see ``OptimizerConfig.fallback``).  ``failure`` concatenates the
-    error messages of the stages that failed before the winning one
-    (``""`` when the primary solve succeeded).  Both default so trace
-    files written before these fields existed still round-trip.
+    (see ``OptimizerConfig.fallback``).  ``fallback_stage`` names the
+    winning stage (``"lp"``, ``"lp:highs"``, ``"greedy"``,
+    ``"balanced"``, ...).  ``failure`` concatenates the error messages
+    of the stages that failed before the winning one (``""`` when the
+    primary solve succeeded).  All three default so trace files written
+    before these fields existed still round-trip.
 
     ``audit`` carries the formulation auditor's findings for the slot
     when ``OptimizerConfig(audit="warn"|"error")`` is active: one dict
@@ -82,8 +89,10 @@ class SlotTrace:
     lp_evaluations: int = 0
     num_variables: int = 0
     num_constraints: int = 0
+    active_servers: int = 0
     residuals: Dict[str, float] = field(default_factory=dict)
     fallback: int = 0
+    fallback_stage: str = ""
     failure: str = ""
     audit: List[Dict] = field(default_factory=list)
     certificates: List[Dict] = field(default_factory=list)
@@ -110,6 +119,11 @@ class SlotTrace:
         object.__setattr__(
             self, "certificates", [dict(f) for f in self.certificates]
         )
+
+    @property
+    def fallback_level(self) -> int:
+        """Alias of :attr:`fallback`."""
+        return self.fallback
 
     @property
     def phase_time_total(self) -> float:

@@ -310,17 +310,16 @@ class TestOptimizerWiring:
         original = opt_mod.ProfitAwareOptimizer._solve_lp
 
         def corrupting(self, inputs, lp_method=None, max_iterations=None):
-            plan, stats = original(
+            plan, fields, payload = original(
                 self, inputs, lp_method=lp_method,
                 max_iterations=max_iterations,
             )
-            payload = stats.get("certify")
             assert payload is not None
             payload["solution"] = replace(
                 payload["solution"],
                 objective=float(payload["solution"].objective) - 10.0,
             )
-            return plan, stats
+            return plan, fields, payload
 
         monkeypatch.setattr(
             opt_mod.ProfitAwareOptimizer, "_solve_lp", corrupting

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.optimizer import OptimizerConfig, ProfitAwareOptimizer, SolveStats
+from repro.core.optimizer import OptimizerConfig, ProfitAwareOptimizer
 from repro.core.plan import DispatchPlan
 from repro.des.engine import Engine
+from repro.obs import SlotTrace
 from repro.solvers.base import SolverError
 from repro.utils.tables import render_table
 
@@ -91,7 +92,7 @@ class TestOptimizerEdges:
         opt = ProfitAwareOptimizer(small_topology)
         opt.plan_slot(np.full((2, 2), 5.0), np.array([0.1, 0.1]))
         stats = opt.last_stats
-        assert isinstance(stats, SolveStats)
+        assert isinstance(stats, SlotTrace)
         assert stats.method == "lp"
         assert stats.num_constraints > 0
 

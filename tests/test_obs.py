@@ -2,8 +2,8 @@
 
 Covers the ISSUE acceptance points: collector merge semantics (a
 serial traced run equals the merged parallel aggregate), SlotTrace
-JSONL round-trips, phase-time consistency, and the no-op overhead
-guard for the NullCollector default.
+JSONL round-trips, phase-time consistency, the optimizer's one record
+per solve, and the no-op overhead guard for the NullCollector default.
 """
 
 import json
@@ -97,6 +97,21 @@ class TestSlotTrace:
 
     def test_phase_time_total(self):
         assert _trace().phase_time_total == pytest.approx(0.009)
+
+    def test_line_without_stage_fields_loads_with_defaults(self):
+        # JSONL written before fallback_stage/active_servers existed.
+        d = _trace(fallback=1).to_dict()
+        del d["fallback_stage"], d["active_servers"]
+        t = SlotTrace.from_json(json.dumps(d))
+        assert t.fallback_stage == ""
+        assert t.active_servers == 0
+        assert t.fallback_level == t.fallback == 1
+
+    def test_stage_fields_round_trip(self, tmp_path):
+        t = _trace(fallback=2, fallback_stage="greedy", active_servers=7)
+        path = tmp_path / "t.jsonl"
+        write_traces([t], path)
+        assert read_traces(path) == [t]
 
 
 class TestTimerStats:
@@ -193,8 +208,7 @@ class TestSerialEqualsParallelAggregate:
                     for t in c.slot_traces]
 
         assert key(merged) == key(serial)
-        assert merged.counters["optimizer.slots"] == \
-            serial.counters["optimizer.slots"]
+        assert len(merged.slot_traces) == len(serial.slot_traces)
         assert merged.counters["simplex.pivots"] == \
             serial.counters["simplex.pivots"]
 
@@ -208,6 +222,58 @@ class TestSerialEqualsParallelAggregate:
             trace, market, workers=2, collector=merged,
         )
         assert [t.slot for t in merged.slot_traces] == list(range(6))
+
+
+#: One slot per solve path: topology fixture, arrivals, config
+#: keywords, and the stage that must produce the plan.
+ONE_RECORD_CASES = {
+    "dense_lp": ("small_topology", np.full((2, 2), 40.0), {}, "lp"),
+    "sparse": ("small_topology", np.full((2, 2), 40.0), {"sparse": True},
+               "lp"),
+    "milp": ("multilevel_topology", np.array([[9000.0], [8000.0]]), {},
+             "milp"),
+    "fallback": ("small_topology", np.full((2, 2), 40.0),
+                 {"lp_method": "simplex", "solver_iteration_budget": 1},
+                 "lp:highs"),
+}
+
+
+class TestOneRecord:
+    @pytest.fixture(params=sorted(ONE_RECORD_CASES))
+    def case(self, request):
+        fixture, arrivals, kwargs, stage = ONE_RECORD_CASES[request.param]
+        topo = request.getfixturevalue(fixture)
+        return topo, arrivals, np.array([0.05, 0.09]), kwargs, stage
+
+    def test_last_stats_is_the_recorded_trace(self, case):
+        topo, arrivals, prices, kwargs, stage = case
+        collector = InMemoryCollector()
+        opt = ProfitAwareOptimizer(
+            topo, config=OptimizerConfig(collector=collector, **kwargs)
+        )
+        for _ in range(2):
+            opt.plan_slot(arrivals, prices)
+            assert opt.last_stats is collector.slot_traces[-1]
+            assert opt.last_stats.fallback_stage == stage
+        assert len(collector.slot_traces) == 2
+
+    def test_record_without_telemetry_matches_traced_one(self, case):
+        topo, arrivals, prices, kwargs, _ = case
+        records = []
+        for collector in (NullCollector(), InMemoryCollector()):
+            opt = ProfitAwareOptimizer(
+                topo, config=OptimizerConfig(collector=collector, **kwargs)
+            )
+            for _ in range(2):  # the second slot sees warm state
+                opt.plan_slot(arrivals, prices)
+            assert isinstance(opt.last_stats, SlotTrace)
+            records.append(opt.last_stats.to_dict())
+        off, on = records
+        assert off.pop("residuals") == {}
+        assert on.pop("residuals")
+        assert off.pop("phase_times").keys() == on.pop("phase_times").keys()
+        del off["total_time"], on["total_time"]
+        assert off == on
 
 
 class TestTracedRun:

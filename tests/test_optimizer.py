@@ -129,6 +129,20 @@ class TestMultiLevelPaths:
         opt.plan_slot(arrivals, prices)
         assert opt.last_stats.lp_evaluations >= 1
 
+    @pytest.mark.parametrize("level_method", ["milp", "greedy", "bigm"])
+    def test_recorded_objective_is_plan_profit(self, setup, level_method):
+        # Without the spare-capacity pass the returned plan is the one
+        # the stage scored, so the record's objective is its profit.
+        topo, arrivals, prices = setup
+        opt = ProfitAwareOptimizer(topo, config=OptimizerConfig(
+            level_method=level_method, use_spare_capacity=False))
+        plan = opt.plan_slot(arrivals, prices)
+        assert opt.last_stats.objective == pytest.approx(
+            evaluate_plan(plan, arrivals, prices).net_profit, rel=1e-6)
+        if level_method != "bigm":
+            assert opt.last_stats.num_variables > 0
+            assert opt.last_stats.num_constraints > 0
+
 
 class TestConsolidation:
     def test_consolidated_plan_uses_fewer_servers(self, small_topology):
@@ -162,10 +176,10 @@ class TestExplodeTopology:
                            small_topology.distances[:, 1])
 
 
-class TestSolveStats:
-    def test_wall_time_recorded(self, small_topology):
+class TestLastStats:
+    def test_total_time_recorded(self, small_topology):
         opt = ProfitAwareOptimizer(small_topology)
         opt.plan_slot(np.full((2, 2), 10.0), np.array([0.1, 0.1]))
-        assert opt.last_stats.wall_time > 0
+        assert opt.last_stats.total_time > 0
         assert opt.last_stats.formulation == "aggregated"
         assert opt.last_stats.objective > 0

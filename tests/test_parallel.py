@@ -65,7 +65,7 @@ class TestDispatcherSpec:
 
     def test_kwargs_forwarded(self, small_topology):
         spec = DispatcherSpec("optimized", {"deadline_margin": 0.9})
-        assert spec.build(small_topology).deadline_margin == 0.9
+        assert spec.build(small_topology).config.deadline_margin == 0.9
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):

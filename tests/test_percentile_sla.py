@@ -30,7 +30,7 @@ class TestPercentileSLA:
         # eps > 1/e would relax below the mean-delay SLA; it must floor.
         topo, arrivals, prices = inputs
         opt = ProfitAwareOptimizer(topo, config=OptimizerConfig(percentile_sla=0.9))
-        assert opt._delay_factor == 1.0
+        assert opt.config.delay_factor == 1.0
 
     def test_analytic_violation_probability_met(self, inputs):
         topo, arrivals, prices = inputs

@@ -541,7 +541,7 @@ class TestOptimizerSparsePath:
             trace.phase_times
         )
         assert opt.last_stats.active_servers > 0
-        assert opt.last_stats.warm_outcome == "hit"
+        assert opt.last_stats.warm_start == "hit"
 
     def test_per_server_collapse_stage(self):
         topo = _small_topology()
@@ -602,7 +602,7 @@ class TestOptimizerSparsePath:
         assert opt._sparse_block_states is None
         assert opt._sparse_joint_state is None
         opt.plan_slot(arrivals, prices)
-        assert opt.last_stats.warm_outcome == "cold"
+        assert opt.last_stats.warm_start == "cold"
 
 
 class TestSparseFormulationScale:

@@ -195,7 +195,7 @@ class TestWarmStateLifecycle:
         flags = []
         for t in range(3):
             dispatcher.plan_slot(trace.arrivals_at(t), market.prices_at(t))
-            flags.append(dispatcher.last_stats.warm_started)
+            flags.append(dispatcher.last_stats.warm_start in ("hit", "miss"))
         assert flags == [False, True, True]
 
     def test_cold_never_flags(self, small_topology):
@@ -203,7 +203,7 @@ class TestWarmStateLifecycle:
         dispatcher = ProfitAwareOptimizer(small_topology, config=OptimizerConfig(lp_method="simplex", warm_start=False))
         for t in range(2):
             dispatcher.plan_slot(trace.arrivals_at(t), market.prices_at(t))
-            assert dispatcher.last_stats.warm_started is False
+            assert dispatcher.last_stats.warm_start == "off"
 
     def test_reset_warm_state_restores_reproducibility(self, small_topology):
         trace, market = _scenario(small_topology)
@@ -215,7 +215,7 @@ class TestWarmStateLifecycle:
         assert np.array_equal(first, second)
         dispatcher.reset_warm_state()
         dispatcher.plan_slot(trace.arrivals_at(0), market.prices_at(0))
-        assert dispatcher.last_stats.warm_started is False
+        assert dispatcher.last_stats.warm_start == "cold"
 
 
 class TestRegressionNeverDegrades:
