@@ -88,7 +88,7 @@ def default_contract() -> LayerContract:
 
     Reading order is bottom-up; each entry lists everything the
     package may eagerly import.  ``des`` stays engine-pure (utils plus
-    the energy model it bills against); ``core`` may not touch
+    the cloud substrate it bills against); ``core`` may not touch
     ``sim``/``stream``/``bench``/``experiments``; ``analysis`` may not
     eagerly touch ``experiments`` (its CLIs build scenarios lazily).
     """
@@ -105,8 +105,8 @@ def default_contract() -> LayerContract:
         # Substrate and solver backends.
         "cloud": frozenset({"utils", "market"}),
         "solvers": frozenset({"utils", "obs"}),
-        # Engines: the DES is self-contained apart from the energy
-        # model it meters; core is the optimization brain.
+        # Engines: the DES is self-contained apart from the cloud
+        # substrate it meters; core is the optimization brain.
         "des": frozenset({"utils", "cloud"}),
         "core": frozenset({
             "utils", "obs", "queueing", "cloud", "market", "workload",
@@ -166,11 +166,15 @@ def default_contract() -> LayerContract:
     hot_paths = (
         # The modules the tracked BENCH_*.json scenarios prove hot:
         # the sparse dual-simplex core (fleet_10x/fleet_100x), the DES
-        # engine hot loop (des_million), and the per-tick streaming
-        # plane (streaming_ingest).
+        # engine hot loop (des_million), the per-tick streaming plane
+        # (streaming_ingest), and the plan scorer it and perfbench's
+        # stream_online run on every tick (DispatchPlan geometry and
+        # evaluate_plan).
         "repro.solvers.sparse",
         "repro.des.engine",
         "repro.stream",
+        "repro.core.objective",
+        "repro.core.plan",
     )
     return LayerContract(
         layers=layers, exceptions=exceptions, hot_paths=hot_paths

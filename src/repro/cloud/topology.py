@@ -4,12 +4,15 @@
 optimizer, the baselines, and the slotted simulator.  It validates that
 all components agree on the number of request classes and provides the
 index bookkeeping (``k``, ``s``, ``i``, ``l`` in the paper's notation).
+Its slot-invariant scoring arrays are compiled once per topology into a
+read-only :class:`TopologyArrays` record (:attr:`CloudTopology.arrays`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +24,62 @@ from repro.core.tuf import ConstantTUF
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_nonnegative
 
-__all__ = ["CloudTopology", "random_topology"]
+__all__ = ["CloudTopology", "TopologyArrays", "random_topology"]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class TopologyArrays:
+    """The slot-invariant arrays every scorer of one topology reads.
+
+    Built once per :class:`CloudTopology` (see
+    :attr:`CloudTopology.arrays`); every array is read-only.  Each one
+    is computed with the same float arithmetic as the per-call code it
+    replaces (:class:`~repro.cloud.energy.EnergyModel`,
+    :meth:`~repro.cloud.transfer.TransferModel.per_request_cost`,
+    :meth:`~repro.core.tuf.StepDownwardTUF.utility`), so scores read
+    from it are bit-identical.
+
+    Attributes
+    ----------
+    offsets:
+        ``L + 1`` prefix offsets of the flat server axis, as Python ints:
+        data center ``l`` owns flat servers ``offsets[l]:offsets[l + 1]``.
+    dc_of_server:
+        ``(N,)`` data-center index of each flat server.
+    service_rates:
+        ``(K, N)`` full-capacity service rates ``C_l * mu_{k,l}``.
+    energy_kwh, energy_kwh_pue:
+        ``(K, L)`` per-request energy ``P_{k,l}`` in kWh, without and
+        with each data center's PUE multiplier.
+    transfer_cost:
+        ``(K, S, L)`` dollars to move one type-``k`` request ``s -> l``
+        (``TranCost_k * d_{s,l}``, Eq. 3).
+    tuf_deadlines:
+        ``(K, Q)`` sub-deadlines of each class's TUF, ``Q`` the most
+        levels of any class; shorter rows are padded with ``+inf``.
+    tuf_values:
+        ``(K, Q + 1)`` per-level utilities, padded with 0: a finite
+        positive delay ``d`` of class ``k`` earns
+        ``tuf_values[k, q]`` with ``q`` the number of its sub-deadlines
+        below ``d``, which is 0 past the final deadline.
+    idle_power:
+        True when some data center draws idle power.
+    """
+
+    offsets: Tuple[int, ...]
+    dc_of_server: np.ndarray = field(repr=False)
+    service_rates: np.ndarray = field(repr=False)
+    energy_kwh: np.ndarray = field(repr=False)
+    energy_kwh_pue: np.ndarray = field(repr=False)
+    transfer_cost: np.ndarray = field(repr=False)
+    tuf_deadlines: np.ndarray = field(repr=False)
+    tuf_values: np.ndarray = field(repr=False)
+    idle_power: bool
 
 
 @dataclass(frozen=True)
@@ -67,6 +125,13 @@ class CloudTopology:
                     f"data center {dc.name!r} is configured for "
                     f"{dc.num_request_classes} request classes, expected {k}"
                 )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A copy or unpickled topology rebuilds its own read-only record
+        # (unpickled arrays would come back writeable).
+        state = dict(self.__dict__)
+        state.pop("arrays", None)
+        return state
 
     # ---------------------------------------------------------------- sizes
 
@@ -135,12 +200,52 @@ class CloudTopology:
 
     def flat_server_index(self, l: int, i: int) -> int:
         """Flatten data-center-local server index to a global index."""
-        offsets = self.server_offsets()
         if not (0 <= l < self.num_datacenters):
             raise IndexError(f"data center index {l} out of range")
         if not (0 <= i < self.datacenters[l].num_servers):
             raise IndexError(f"server index {i} out of range for DC {l}")
-        return int(offsets[l] + i)
+        return int(self.arrays.offsets[l] + i)
+
+    # ------------------------------------------------------ scoring arrays
+
+    @cached_property
+    def arrays(self) -> TopologyArrays:
+        """The topology's read-only :class:`TopologyArrays`, built on first use.
+
+        Cached on the instance: derived topologies (:meth:`with_datacenters`
+        and the transforms built on it) compile their own, and a copied
+        or unpickled topology rebuilds it.
+        """
+        dc_of_server = np.repeat(
+            np.arange(self.num_datacenters), self.servers_per_datacenter
+        )
+        capacity = self.server_capacities
+        service_rates = (
+            self.service_rates[:, dc_of_server] * capacity[dc_of_server][None, :]
+        )
+        energy = self.energy_per_request
+        pue = np.array([dc.pue for dc in self.datacenters])
+        unit_costs = self.transfer_unit_costs
+        tufs = [rc.tuf for rc in self.request_classes]
+        levels = max(tuf.num_levels for tuf in tufs)
+        deadlines = np.full((self.num_classes, levels), np.inf)
+        values = np.zeros((self.num_classes, levels + 1))
+        for k, tuf in enumerate(tufs):
+            deadlines[k, :tuf.num_levels] = tuf.deadlines
+            values[k, :tuf.num_levels] = tuf.values
+        return TopologyArrays(
+            offsets=tuple(self.server_offsets().tolist()),
+            dc_of_server=_read_only(dc_of_server),
+            service_rates=_read_only(service_rates),
+            energy_kwh=_read_only(energy),
+            energy_kwh_pue=_read_only(energy * pue[None, :]),
+            transfer_cost=_read_only(
+                unit_costs[:, None, None] * self.distances[None, :, :]
+            ),
+            tuf_deadlines=_read_only(deadlines),
+            tuf_values=_read_only(values),
+            idle_power=any(dc.idle_power_kw > 0.0 for dc in self.datacenters),
+        )
 
     # ----------------------------------------------------------- transforms
 

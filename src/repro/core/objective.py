@@ -5,7 +5,9 @@ a plan, the slot's arrivals, and the slot's electricity prices, it
 computes realized utilities from realized M/M/1 delays (not from the
 optimizer's targeted TUF levels) and subtracts the realized energy and
 transfer dollar costs.  Both the optimizer and the baselines are scored
-by this same function.
+by this same function.  It reads the topology's slot-invariant arrays
+(:attr:`~repro.cloud.topology.CloudTopology.arrays`) instead of
+rebuilding cost models per call.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cloud.energy import EnergyModel
 from repro.core.plan import DispatchPlan
 from repro.solvers.tolerances import FEASIBILITY_TOL
 from repro.utils.validation import check_nonnegative, check_positive
@@ -108,45 +109,46 @@ def evaluate_plan(
         )
     dispatched_per_source = plan.rates.sum(axis=2)  # (K, S)
     excess = dispatched_per_source - arrivals
-    if np.any(excess > FEASIBILITY_TOL * np.maximum(1.0, arrivals)):
+    if (excess > FEASIBILITY_TOL * np.maximum(1.0, arrivals)).any():
         raise ValueError("plan dispatches more than the offered arrivals")
 
     # Revenue from realized delays: utility is per request, earned at the
     # expected delay of the (class, server) queue actually serving it.
-    delays = plan.delays()  # (K, N), nan where no load
+    arrays = topo.arrays
     loads = plan.server_loads()  # (K, N)
+    delays = plan._delays_at(loads)  # (K, N), nan where no load
+    # TUF level = number of sub-deadlines below the delay (the +inf
+    # padding never counts, and past the final deadline the level's
+    # value is 0); nan (no load) and inf (overload) delays earn nothing.
+    levels = (delays[:, :, None] > arrays.tuf_deadlines[:, None, :]).sum(axis=2)
+    util = arrays.tuf_values[np.arange(topo.num_classes)[:, None], levels]
+    earned = np.where(np.isfinite(delays), util, 0.0) * loads
+    loaded = loads > 0
     revenue = 0.0
-    for k, rc in enumerate(topo.request_classes):
-        row_delays = delays[k]
-        row_loads = loads[k]
-        loaded = row_loads > 0
-        if not np.any(loaded):
-            continue
-        # inf delay (overload) earns zero utility via the TUF deadline cut.
-        util = rc.tuf.utility(np.nan_to_num(row_delays[loaded], nan=0.0,
-                                            posinf=np.inf))
-        util = np.where(np.isfinite(row_delays[loaded]), util, 0.0)
-        revenue += float(np.sum(util * row_loads[loaded]) * slot_duration)
+    for k in range(topo.num_classes):
+        revenue += float(earned[k, loaded[k]].sum() * slot_duration)
 
-    energy_model = EnergyModel(topo.datacenters, apply_pue=apply_pue)
-    dc_loads = plan.dc_loads()  # (K, L)
-    energy_cost = energy_model.slot_cost(dc_loads, prices, slot_duration)
-    energy_kwh = energy_model.slot_energy_kwh(dc_loads, slot_duration)
-    transfer_cost = topo.transfer_model().slot_cost(plan.dc_rates(), slot_duration)
+    dc_rates = plan.dc_rates()  # (K, S, L)
+    dc_loads = dc_rates.sum(axis=1)  # (K, L)
+    energy = arrays.energy_kwh_pue if apply_pue else arrays.energy_kwh
+    energy_cost = float((energy * prices[None, :] * dc_loads).sum() * slot_duration)
+    energy_kwh = float((energy * dc_loads).sum() * slot_duration)
+    transfer_cost = float((arrays.transfer_cost * dc_rates).sum() * slot_duration)
 
     # Idle power of powered-on servers (an extension; 0 kW by default
     # reproduces the paper's per-request-only accounting).  Idle energy
     # respects PUE like any other draw when apply_pue is set.
     idle_cost = 0.0
     idle_kwh = 0.0
-    powered = plan.powered_on_per_dc()
-    for l, dc in enumerate(topo.datacenters):
-        if dc.idle_power_kw <= 0.0 or powered[l] == 0:
-            continue
-        pue = dc.pue if apply_pue else 1.0
-        kwh = dc.idle_power_kw * pue * powered[l] * slot_duration
-        idle_kwh += kwh
-        idle_cost += kwh * float(prices[l])
+    if arrays.idle_power:
+        powered = plan.powered_on_per_dc()
+        for l, dc in enumerate(topo.datacenters):
+            if dc.idle_power_kw <= 0.0 or powered[l] == 0:
+                continue
+            pue = dc.pue if apply_pue else 1.0
+            kwh = dc.idle_power_kw * pue * powered[l] * slot_duration
+            idle_kwh += kwh
+            idle_cost += kwh * float(prices[l])
 
     return NetProfitBreakdown(
         revenue=revenue,

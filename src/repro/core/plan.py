@@ -53,7 +53,7 @@ class DispatchPlan:
             raise ValueError(f"rates must have shape {(k, s, n)}, got {rates.shape}")
         if shares.shape != (k, n):
             raise ValueError(f"shares must have shape {(k, n)}, got {shares.shape}")
-        if np.any(shares.sum(axis=0) > 1.0 + FEASIBILITY_TOL):
+        if (shares.sum(axis=0) > 1.0 + FEASIBILITY_TOL).any():
             worst = float(shares.sum(axis=0).max())
             raise ValueError(f"CPU shares exceed 1 on some server (max {worst:.6f})")
         object.__setattr__(self, "rates", rates)
@@ -62,21 +62,16 @@ class DispatchPlan:
     # ------------------------------------------------------------ geometry
 
     def _dc_of_server(self) -> np.ndarray:
-        """``(N,)`` data-center index of each flat server."""
-        topo = self.topology
-        out = np.empty(topo.num_servers, dtype=int)
-        for l, dc in enumerate(topo.datacenters):
-            offset = topo.server_offsets()[l]
-            out[offset:offset + dc.num_servers] = l
-        return out
+        """``(N,)`` data-center index of each flat server (read-only)."""
+        return self.topology.arrays.dc_of_server
 
     def server_service_rates(self) -> np.ndarray:
-        """``(K, N)`` full-capacity service rates ``C_l * mu_{k,l}``; float64."""
-        topo = self.topology
-        dc_idx = self._dc_of_server()
-        mu = topo.service_rates  # (K, L)
-        capacity = topo.server_capacities  # (L,)
-        return mu[:, dc_idx] * capacity[dc_idx][None, :]
+        """``(K, N)`` full-capacity service rates ``C_l * mu_{k,l}``; float64.
+
+        The topology's cached, read-only array
+        (:attr:`~repro.cloud.topology.TopologyArrays.service_rates`).
+        """
+        return self.topology.arrays.service_rates
 
     # ------------------------------------------------------------- loads
 
@@ -88,8 +83,11 @@ class DispatchPlan:
         """``(K, S, L)`` rates aggregated to data-center granularity; float64."""
         topo = self.topology
         out = np.zeros((topo.num_classes, topo.num_frontends, topo.num_datacenters))
-        offsets = topo.server_offsets()
-        for l in range(topo.num_datacenters):
+        offsets = topo.arrays.offsets
+        # L iterations of one slice sum each: this keeps every DC's
+        # summation order (a one-hot matmul would not) and gives a
+        # zero-server DC exact zeros (``np.add.reduceat`` would not).
+        for l in range(topo.num_datacenters):  # reprolint: disable=AR041
             out[:, :, l] = self.rates[:, :, offsets[l]:offsets[l + 1]].sum(axis=2)
         return out
 
@@ -109,8 +107,11 @@ class DispatchPlan:
         Entries for (class, server) pairs with zero load are ``nan`` —
         no request experiences them.  dtype float64.
         """
-        loads = self.server_loads()
-        effective = self.shares * self.server_service_rates()
+        return self._delays_at(self.server_loads())
+
+    def _delays_at(self, loads: np.ndarray) -> np.ndarray:
+        """:meth:`delays` given this plan's :meth:`server_loads`."""
+        effective = self.shares * self.topology.arrays.service_rates
         delays = mm1_mean_delay(effective, loads)
         return np.where(loads > _LOAD_TOL, delays, np.nan)
 
@@ -122,12 +123,11 @@ class DispatchPlan:
 
     def powered_on_per_dc(self) -> np.ndarray:
         """``(L,)`` number of powered-on servers per data center; dtype int."""
-        topo = self.topology
         mask = self.active_server_mask()
-        offsets = topo.server_offsets()
+        offsets = self.topology.arrays.offsets
         return np.array([
-            int(mask[offsets[l]:offsets[l + 1]].sum())
-            for l in range(topo.num_datacenters)
+            int(mask[start:stop].sum())
+            for start, stop in zip(offsets[:-1], offsets[1:])
         ])
 
     # ------------------------------------------------------------ algebra

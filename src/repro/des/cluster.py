@@ -35,8 +35,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cloud.energy import EnergyModel
-
 if TYPE_CHECKING:  # avoid the core->queueing->des->core import cycle
     from repro.core.plan import DispatchPlan
 from repro.des.processes import SAMPLE_BATCH
@@ -246,10 +244,10 @@ class ClusterSimulation:
         warmup = self.warmup_fraction * horizon
 
         analytic = plan.delays()
-        energy_per_req = EnergyModel(topo.datacenters).per_request_cost(
-            prices)  # (K, L)
-        transfer_per_req = topo.transfer_model().per_request_cost()  # (K,S,L)
-        dc_of = plan._dc_of_server()
+        arrays = topo.arrays
+        energy_per_req = arrays.energy_kwh * prices[None, :]  # (K, L)
+        transfer_per_req = arrays.transfer_cost  # (K, S, L)
+        dc_of = arrays.dc_of_server
         rates = plan.rates  # (K, S, N)
         revenue_mean = 0.0
         revenue_jobs = 0.0

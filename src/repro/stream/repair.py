@@ -52,6 +52,27 @@ def _safe_server_rates(
     ))
 
 
+def _check_target(plan: DispatchPlan, target: np.ndarray) -> np.ndarray:
+    """``target`` as a float array, raising unless it is ``(K, S)``."""
+    target = np.asarray(target, dtype=float)
+    if target.shape != plan.rates.shape[:2]:
+        raise ValueError(
+            f"target must have shape {plan.rates.shape[:2]}"
+        )
+    return target
+
+
+def _routing_weights(plan: DispatchPlan) -> np.ndarray:
+    """``(K, S, N)`` per-server split of each ``(k, s)`` row (0 if unrouted)."""
+    row_totals = plan.rates.sum(axis=2)  # (K, S)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            row_totals[:, :, None] > _LOAD_TOL,
+            plan.rates / np.maximum(row_totals, _LOAD_TOL)[:, :, None],
+            0.0,
+        )
+
+
 @dataclass(frozen=True)
 class RepairOutcome:
     """Result of one :func:`repair_plan` call."""
@@ -79,21 +100,9 @@ def repair_plan(
     volume along existing ones; missing volume shows up as coverage
     < 1 and triggers escalation to a full solve.
     """
-    target = np.asarray(target, dtype=float)
-    if target.shape != plan.rates.shape[:2]:
-        raise ValueError(
-            f"target must have shape {plan.rates.shape[:2]}"
-        )
+    target = _check_target(plan, target)
     deadlines = _effective_deadlines(plan, deadlines)
-
-    row_totals = plan.rates.sum(axis=2)  # (K, S)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(
-            row_totals[:, :, None] > _LOAD_TOL,
-            plan.rates / np.maximum(row_totals, _LOAD_TOL)[:, :, None],
-            0.0,
-        )
-    rates = target[:, :, None] * weights  # (K, S, N)
+    rates = target[:, :, None] * _routing_weights(plan)  # (K, S, N)
 
     # Cap each (class, server) load at its deadline-safe rate by
     # uniformly shrinking that server's share of every front-end row.
@@ -130,18 +139,12 @@ def plan_margin(
     deadline-safe rate; negative = the standing plan would violate the
     deadline at those rates.  Demand on routes the plan does not serve
     counts as zero-headroom pressure only through coverage (see
-    :func:`repair_plan`), not through this signal.
+    :func:`repair_plan`), not through this signal.  A ``target`` that
+    is not ``(K, S)`` raises ``ValueError``, as in :func:`repair_plan`.
     """
-    target = np.asarray(target, dtype=float)
+    target = _check_target(plan, target)
     deadlines = _effective_deadlines(plan, deadlines)
-    row_totals = plan.rates.sum(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(
-            row_totals[:, :, None] > _LOAD_TOL,
-            plan.rates / np.maximum(row_totals, _LOAD_TOL)[:, :, None],
-            0.0,
-        )
-    loads = (target[:, :, None] * weights).sum(axis=1)  # (K, N)
+    loads = (target[:, :, None] * _routing_weights(plan)).sum(axis=1)  # (K, N)
     safe = _safe_server_rates(plan, deadlines)
     loaded = loads > _LOAD_TOL
     if not bool(loaded.any()):

@@ -1,5 +1,9 @@
 """Tests for the cloud substrate (data centers, topology, costs, SLA)."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,10 +11,10 @@ from repro.cloud.datacenter import DataCenter, Server
 from repro.cloud.energy import EnergyModel, GOOGLE_WEB_SEARCH_KWH
 from repro.cloud.frontend import FrontEnd
 from repro.cloud.sla import ServiceLevelAgreement
-from repro.cloud.topology import CloudTopology, random_topology
+from repro.cloud.topology import CloudTopology, TopologyArrays, random_topology
 from repro.cloud.transfer import TransferModel
 from repro.core.request import RequestClass
-from repro.core.tuf import ConstantTUF
+from repro.core.tuf import ConstantTUF, StepDownwardTUF
 
 
 class TestServer:
@@ -135,6 +139,100 @@ class TestCloudTopology:
         assert a.num_servers == b.num_servers
         assert np.array_equal(a.distances, b.distances)
         assert a.num_classes == 3
+
+
+def _record_arrays(arrays):
+    """The record's array fields, by name."""
+    return {
+        f.name: getattr(arrays, f.name)
+        for f in dataclasses.fields(TopologyArrays)
+        if isinstance(getattr(arrays, f.name), np.ndarray)
+    }
+
+
+def assert_same_record(a, b):
+    assert a.offsets == b.offsets and a.idle_power == b.idle_power
+    for name, arr in _record_arrays(a).items():
+        other = getattr(b, name)
+        assert arr.dtype == other.dtype and arr.tobytes() == other.tobytes(), name
+
+
+class TestTopologyArrays:
+    def test_contents(self, small_topology):
+        topo = small_topology
+        arrays = topo.arrays
+        assert arrays.offsets == (0, 3, 5)
+        assert all(type(o) is int for o in arrays.offsets)
+        assert arrays.dc_of_server.tolist() == [0, 0, 0, 1, 1]
+        assert np.array_equal(arrays.service_rates,
+                              topo.service_rates[:, [0, 0, 0, 1, 1]])
+        assert np.array_equal(arrays.energy_kwh,
+                              EnergyModel(topo.datacenters).energy_kwh)
+        assert np.array_equal(
+            arrays.energy_kwh_pue,
+            EnergyModel(topo.datacenters, apply_pue=True).energy_kwh)
+        assert np.array_equal(arrays.transfer_cost,
+                              topo.transfer_model().per_request_cost())
+        assert arrays.idle_power is False
+        assert topo.arrays is arrays
+
+    def test_tuf_tables_pad_shorter_classes(self):
+        classes = (
+            RequestClass("a", StepDownwardTUF([9.0, 5.0, 2.0], [0.1, 0.2, 0.4])),
+            RequestClass("b", ConstantTUF(4.0, 0.3)),
+        )
+        dc = DataCenter("d", 2, np.array([10.0, 20.0]), np.array([1e-4, 2e-4]),
+                        idle_power_kw=0.1)
+        topo = CloudTopology(classes, (FrontEnd("f"),), (dc,), np.array([[5.0]]))
+        arrays = topo.arrays
+        assert arrays.tuf_deadlines.tolist() == [[0.1, 0.2, 0.4],
+                                                 [0.3, np.inf, np.inf]]
+        assert arrays.tuf_values.tolist() == [[9.0, 5.0, 2.0, 0.0],
+                                              [4.0, 0.0, 0.0, 0.0]]
+        assert arrays.idle_power is True
+
+    def test_arrays_are_read_only(self, small_topology):
+        arrays = small_topology.arrays
+        fields = _record_arrays(arrays)
+        assert len(fields) == 7
+        for name, arr in fields.items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            arrays.offsets = (0,)
+
+    @pytest.mark.parametrize("derive", [
+        lambda t: t.with_servers_per_datacenter(4),
+        lambda t: t.scaled_capacity(2.0),
+        lambda t: t.with_datacenters(t.datacenters[::-1]),
+    ], ids=["with_servers_per_datacenter", "scaled_capacity", "with_datacenters"])
+    def test_derived_topology_builds_its_own_record(self, small_topology, derive):
+        parent = small_topology.arrays
+        derived = derive(small_topology)
+        assert "arrays" not in vars(derived)
+        assert derived.arrays is not parent
+        assert np.array_equal(
+            derived.arrays.service_rates,
+            derived.service_rates[:, derived.arrays.dc_of_server]
+            * derived.server_capacities[derived.arrays.dc_of_server])
+        assert derived.arrays.offsets == tuple(derived.server_offsets().tolist())
+        assert small_topology.arrays is parent
+
+    @pytest.mark.parametrize("clone", [
+        lambda t: pickle.loads(pickle.dumps(t)),
+        copy.deepcopy,
+        copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_copies_rebuild_a_read_only_record(self, small_topology, clone):
+        original = small_topology.arrays
+        twin = clone(small_topology)
+        assert "arrays" not in vars(twin)
+        assert twin.arrays is not original
+        assert_same_record(twin.arrays, original)
+        for name, arr in _record_arrays(twin.arrays).items():
+            assert not arr.flags.writeable, name
+        assert "arrays" in vars(small_topology)
 
 
 class TestTransferModel:

@@ -1,8 +1,11 @@
 """Tests for DispatchPlan and net-profit evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.cloud import energy, topology, transfer
 from repro.core.objective import evaluate_plan
 from repro.core.plan import DispatchPlan
 
@@ -154,3 +157,45 @@ class TestEvaluatePlan:
                             np.array([0.1, 0.1]))
         # Level-2 utility (4 $) earned, not level-1 (10 $).
         assert out.revenue == pytest.approx(4.0 * 200.0)
+
+
+class TestScoringReadsTheRecord:
+    @pytest.mark.parametrize("apply_pue", [False, True])
+    def test_scoring_builds_no_cost_models(self, small_topology, monkeypatch,
+                                           apply_pue):
+        """50 plans of one topology: the record is built once, on first
+        use, and scoring constructs no EnergyModel or TransferModel."""
+        topo = small_topology.with_datacenters([
+            dataclasses.replace(dc, idle_power_kw=0.2, pue=1.4)
+            for dc in small_topology.datacenters
+        ])
+        rng = np.random.default_rng(5)
+        plans = []
+        for _ in range(50):
+            shares = rng.uniform(0.0, 0.5, size=(2, 5))
+            rates = rng.uniform(0.0, 20.0, size=(2, 2, 5))
+            rates[rng.uniform(size=rates.shape) < 0.3] = 0.0
+            plans.append(DispatchPlan(topo, rates, shares))
+        assert "arrays" not in vars(topo)
+
+        built = {"record": 0, "energy": 0, "transfer": 0}
+
+        def counting(cls, key):
+            init = cls.__init__
+
+            def wrapped(self, *args, **kwargs):
+                built[key] += 1
+                init(self, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(topology.TopologyArrays, "__init__",
+                            counting(topology.TopologyArrays, "record"))
+        monkeypatch.setattr(energy.EnergyModel, "__init__",
+                            counting(energy.EnergyModel, "energy"))
+        monkeypatch.setattr(transfer.TransferModel, "__init__",
+                            counting(transfer.TransferModel, "transfer"))
+        prices = np.array([0.1, 0.07])
+        for plan in plans:
+            arrivals = plan.rates.sum(axis=2) + 1.0
+            evaluate_plan(plan, arrivals, prices, apply_pue=apply_pue)
+        assert built == {"record": 1, "energy": 0, "transfer": 0}

@@ -16,6 +16,7 @@ from repro.stream import (
     StreamingController,
     deadline_safe_capacity,
     make_policy,
+    plan_margin,
     repair_plan,
     shed_to_capacity,
 )
@@ -201,6 +202,20 @@ class TestRepairPath:
             safe = effective[k] - 1.0 / (rc.deadline * (1.0 - 1e-6))
             ok = loads[k] <= np.maximum(safe, 0.0) + 1e-9
             assert bool(ok.all())
+
+    @pytest.mark.parametrize("probe", [plan_margin, repair_plan])
+    def test_misshaped_target_rejected(self, section6, probe):
+        # A per-class total (K, 1) must not broadcast over the front-ends.
+        exp = section6
+        arrivals = exp.trace.arrivals_at(12)
+        plan = exp.optimizer().plan_slot(arrivals, exp.market.prices_at(12),
+                                         slot_duration=1.0)
+        K, S = arrivals.shape
+        for target in (arrivals.sum(axis=1, keepdims=True), arrivals.T,
+                       arrivals.ravel()):
+            with pytest.raises(ValueError,
+                               match=rf"target must have shape \({K}, {S}\)"):
+                probe(plan, target)
 
     def test_failed_repair_escalates_to_full_solve(self, section6):
         """A policy that always says repair still yields full coverage

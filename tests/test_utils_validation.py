@@ -91,3 +91,53 @@ class TestCheckStrictlyIncreasing:
     def test_rejects_2d(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             check_strictly_increasing(np.zeros((2, 2)), "d")
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: (value, outcome of check_finite, check_nonnegative, check_positive,
+#: check_probability): True accepts; a string is the rejection message's
+#: condition ("x must <condition>, got <repr(value)>").
+VALIDATION_TABLE = [
+    (2, True, True, True, "lie in [0, 1]"),
+    (0, True, True, "be strictly positive", True),
+    (-1, True, "be non-negative", "be strictly positive", "lie in [0, 1]"),
+    (0.5, True, True, True, True),
+    (1.0, True, True, True, True),
+    (1.5, True, True, True, "lie in [0, 1]"),
+    (-0.0, True, True, "be strictly positive", True),
+    (NAN, "be finite", "be finite", "be finite", "be finite"),
+    (INF, "be finite", "be finite", "be finite", "be finite"),
+    (-INF, "be finite", "be finite", "be finite", "be finite"),
+    (np.array(0.25), True, True, True, True),
+    (np.array(-0.0), True, True, "be strictly positive", True),
+    (np.array(-2.0), True, "be non-negative", "be strictly positive", "lie in [0, 1]"),
+    (np.array(NAN), "be finite", "be finite", "be finite", "be finite"),
+    ([0.0, 1.0], True, True, "be strictly positive", True),
+    ([0.5, 2.0], True, True, True, "lie in [0, 1]"),
+    ([1.0, -3.0], True, "be non-negative", "be strictly positive", "lie in [0, 1]"),
+    ([1.0, INF], "be finite", "be finite", "be finite", "be finite"),
+    ([[0.5, NAN]], "be finite", "be finite", "be finite", "be finite"),
+    ([], True, True, True, True),
+    (np.zeros((0, 3)), True, True, True, True),
+]
+
+CHECKS = [check_finite, check_nonnegative, check_positive, check_probability]
+
+
+@pytest.mark.parametrize("row", VALIDATION_TABLE, ids=lambda row: repr(row[0]))
+@pytest.mark.parametrize("column", range(len(CHECKS)),
+                         ids=[check.__name__ for check in CHECKS])
+def test_validation_table(row, column):
+    value, outcome = row[0], row[1 + column]
+    check = CHECKS[column]
+    if outcome is True:
+        out = check(value, "x")
+        expected = np.asarray(value, dtype=float)
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            check(value, "x")
+        assert str(excinfo.value) == f"x must {outcome}, got {value!r}"
