@@ -8,8 +8,11 @@ Commands:
 * ``section7`` — the §VII Google-trace study with two-level TUFs;
 * ``validate`` — M/M/1 model (Eq. 1) vs discrete-event simulation;
 * ``sweep [--servers 2,4,6,...]`` — capacity sweep on the §VII workload;
-* ``trace [--out traces.jsonl]`` — run a scenario with telemetry on and
-  dump per-slot :class:`~repro.obs.trace.SlotTrace` records as JSONL;
+* ``trace [--out traces.jsonl] [--sparse]`` — run a scenario with
+  telemetry on and dump per-slot :class:`~repro.obs.trace.SlotTrace`
+  records as JSONL (``--sparse`` routes slot LPs through the
+  sparse/decomposed path, whose phases split into decompose, solve and
+  expand);
 * ``stream [--policy periodic|drift|margin]`` — the sub-slot streaming
   control plane (:mod:`repro.stream`); re-plans on drift/margin decay
   instead of the wall clock;
@@ -312,6 +315,9 @@ def _configure_trace(parser: argparse.ArgumentParser) -> None:
                         help="iteration/node cap for the primary solver; a "
                              "tiny value forces failures so the fallback "
                              "chain shows up in the traces")
+    parser.add_argument("--sparse", action="store_true",
+                        help="route slot LPs through the sparse/decomposed "
+                             "path (phases decompose/solve/expand)")
 
 
 @register_subcommand(
@@ -340,6 +346,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     exp = _trace_experiment(args.scenario)
     config = OptimizerConfig(level_method=args.level_method,
                              lp_method=args.lp_method,
+                             sparse=args.sparse,
                              solver_iteration_budget=args.iteration_budget)
     collector = InMemoryCollector()
     if args.workers == 1:

@@ -589,17 +589,17 @@ class ProfitAwareOptimizer:
         per-server plan (exact for homogeneous servers, see
         ``fixed_level_lp``).  The per-class block decomposition — compiled
         once, on the first sparse slot — is tried first (independent
-        blocks, each warm-started from its own state); when a coupling
-        row binds, the joint LP is solved by the bounded dual simplex
-        with an RHS-only warm re-solve.
+        blocks, all restarted in one stacked pass, each from its own
+        state); when a coupling row binds, the joint LP is solved by the
+        bounded dual simplex with an RHS-only warm re-solve.
 
         Stage timings are reported disjointly so the slot trace shows
         where the time went: ``build`` (or ``collapse`` under
-        per-server), ``decompose`` (per-block gathers of ``c``/``b_ub``,
-        block solves and coupling check; the first slot's also holds the
-        one-time compile), ``solve`` (joint solve — zero when
-        decomposition succeeded), and ``expand`` (decode back to a
-        per-server plan).
+        per-server), ``decompose`` (the gather of ``c``/``b_ub``, the
+        stacked restart, per-block pivots and the coupling check; the
+        first slot's also holds the one-time compile), ``solve`` (joint
+        solve — zero when decomposition succeeded), and ``expand``
+        (decode back to a per-server plan).
         """
         config = self.config
         use_warm = config.warm_start

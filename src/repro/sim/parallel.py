@@ -58,8 +58,10 @@ class WorkerError(RuntimeError):
     Raised by :func:`repro.solvers.sparse.solve_decomposed`: the message
     leads with the block's label (``block[class=2]``) followed by the
     original exception's type and text, so a crash deep inside one
-    block solve names the block that died.  The original exception is
-    chained as ``__cause__``.
+    block solve names the block that died.  A crash in the stacked
+    restart that serves every block at once names all of them
+    (``block[class=0,1,2]``).  The original exception is chained as
+    ``__cause__``.
     """
 
 

@@ -13,26 +13,41 @@ provides three pieces that ride the CSR constraint matrices built by
   the all-slack basis dual feasible for free — no phase-1.  Problems
   the direct solver does not cover (equality rows, unboxable variables,
   very tall programs) fall back to HiGHS fed with the sparse matrix.
-* an **RHS-only dual re-solve fast path** — between the controller's
-  slots only prices (objective) and arrivals (right-hand side) change.
-  When the objective is bit-identical to the previous slot's, the saved
-  optimal basis is still dual feasible and the dual simplex restarts
-  from it directly; when the objective changed, nonbasic variables are
-  flipped to their dual-feasible bound first.  Both ride the standard
-  :class:`~repro.solvers.base.SolverState` token.
+* one **stacked warm restart** — between the controller's slots only
+  prices (objective) and arrivals (right-hand side) change.  When a
+  program's objective is bit-identical to the one its
+  :class:`~repro.solvers.base.SolverState` token was taken at, the
+  saved optimal basis is still dual feasible and the dual simplex
+  restarts from it directly (RHS-only); when the objective changed,
+  nonbasic variables are flipped to their dual-feasible bound first.
+  :func:`_restart` does this for K same-shape programs at once, stacked
+  block-diagonally: one gather of their ``c``/``b_ub``, one
+  implied-bound evaluation, one ``np.linalg.inv`` over the stack of
+  token bases, one bound-flip step, one primal point, one optimality
+  test and one terminal feasibility check.  Only a program that needs
+  pivots enters the per-program pivot loop, from the restart's basis,
+  statuses and inverse.  The joint solve is a stack of one.
 * per-class block decomposition — request classes couple only through
   the share-budget rows, so dropping those rows splits the slot LP into
-  independent blocks that solve separately.  The split is **compiled
-  once** per constraint matrix by :func:`compile_decomposition`, which
-  validates the block plan and cuts everything slot-invariant: each
-  block's CSR, CSC and transpose, its bounds and implied-upper-bound
-  entry map (:class:`ImpliedBounds`), and the coupling rows' CSR.  Per
-  slot, :func:`solve_decomposed` only gathers each block's slice of
-  ``c`` and ``b_ub``, solves the blocks one after another, and
-  recombines.  If the recombined point satisfies the dropped coupling
-  rows, the relaxation optimum is feasible and hence globally optimal;
-  otherwise the caller joint-solves (the optimistic check —
-  over-provisioned fleets virtually never trip it).
+  independent blocks of one shape.  The split is **compiled once** per
+  constraint matrix by :func:`compile_decomposition`, which validates
+  the block plan (a partition into same-shape blocks of a program with
+  no equality rows) and stacks everything slot-invariant: the blocks'
+  index maps, one block-diagonal CSR with its CSC and transpose, one
+  implied-upper-bound entry map (:class:`ImpliedBounds`) over it, the
+  stacked bounds, and the coupling rows' CSR.  Per slot,
+  :func:`solve_decomposed` gathers ``c`` and ``b_ub`` once, restarts
+  every block in the one stacked pass, and recombines.  If the
+  recombined point satisfies the dropped coupling rows, the relaxation
+  optimum is feasible and hence globally optimal; otherwise the caller
+  joint-solves (the optimistic check — over-provisioned fleets
+  virtually never trip it).
+
+A block restarted in a stack reports exactly what it would alone: the
+block-diagonal CSR mat-vec sums each row's entries in the block's own
+order, and numpy's stacked ``inv``/``matmul`` give the bytes of their
+2-D calls.  ``tests/test_property_sparse.py`` pins this, bit for bit,
+against the one-program dual simplex the stack replaced.
 
 Dense solvers remain untouched and serve as the equivalence oracle in
 the property-based test harness.
@@ -41,7 +56,7 @@ the property-based test harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse as sp
@@ -52,7 +67,6 @@ from repro.solvers.base import (
     Solution,
     SolverState,
     SolveStatus,
-    problem_signature,
 )
 from repro.solvers.linprog import solve_lp
 from repro.solvers.tolerances import (
@@ -69,7 +83,6 @@ __all__ = [
     "implied_upper_bounds",
     "BlockPlan",
     "class_blocks",
-    "CompiledBlock",
     "CompiledDecomposition",
     "compile_decomposition",
     "DecomposedSolution",
@@ -118,8 +131,8 @@ class ImpliedBounds:
     every entry ``a_rj > 0`` of a row that can imply a bound, with that
     row's activity at the lower bounds; :meth:`evaluate` applies one
     slot's ``c`` and ``b_ub``.  Between the controller's slots only
-    those two vectors change, so the decomposed solve compiles each
-    block once and evaluates it per slot.
+    those two vectors change, so the decomposed solve compiles its
+    stacked blocks once and evaluates them per slot.
     """
 
     #: Row, column, coefficient, row activity at the lower bounds, and
@@ -165,6 +178,18 @@ class ImpliedBounds:
             upper=upper,
         )
 
+    def upper_at(self, b_ub: np.ndarray) -> np.ndarray:
+        """Upper bounds (float64) tightened by every bound ``b_ub`` implies.
+
+        Infinite where neither the program nor a row bounds a variable.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            implied = (b_ub[self.rows] - self.row_act) / self.coef + self.col_lower
+        cand = np.full(self.upper.size, np.inf)
+        ok = np.isfinite(implied)
+        np.minimum.at(cand, self.cols[ok], implied[ok])
+        return np.minimum(self.upper, np.maximum(cand, self.lower))
+
     def evaluate(
         self, c: np.ndarray, b_ub: np.ndarray
     ) -> Optional[np.ndarray]:
@@ -173,12 +198,7 @@ class ImpliedBounds:
         ``None`` when a variable with a negative objective coefficient
         stays unboxed.
         """
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            implied = (b_ub[self.rows] - self.row_act) / self.coef + self.col_lower
-        cand = np.full(self.upper.size, np.inf)
-        ok = np.isfinite(implied)
-        np.minimum.at(cand, self.cols[ok], implied[ok])
-        upper = np.minimum(self.upper, np.maximum(cand, self.lower))
+        upper = self.upper_at(b_ub)
         if np.any((c < 0) & ~np.isfinite(upper)):
             return None
         return upper
@@ -209,42 +229,162 @@ def implied_upper_bounds(lp: LinearProgram) -> Optional[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Bounded-variable dual simplex with a dense basis inverse
+# Stacked programs: K blocks of one shape behind one block-diagonal matrix
 # ---------------------------------------------------------------------------
 
-def _basis_inverse(
-    ac: "sp.csc_matrix", basis: np.ndarray, n: int, m: int
-) -> Optional[np.ndarray]:
-    """Inverse of the basis matrix ``[A | I][:, basis]``, or ``None``."""
-    b_mat = np.zeros((m, m))
-    for col, var in enumerate(basis):
-        if var < n:
-            start, end = ac.indptr[var], ac.indptr[var + 1]
-            b_mat[ac.indices[start:end], col] = ac.data[start:end]
-        else:
-            b_mat[var - n, col] = 1.0
+@dataclass(frozen=True)
+class _BlockStack:
+    """K programs of one shape ``(m, n)``, stacked block-diagonally.
+
+    Block ``k`` owns rows ``k*m .. k*m+m-1`` and columns
+    ``k*n .. k*n+n-1`` of :attr:`matrix`, whose rows keep each block's
+    own entry order: a mat-vec sums every row exactly as the block's
+    own CSR would.
+    """
+
+    n: int
+    m: int
+    matrix: "sp.csr_matrix"
+    csc: "sp.csc_matrix"
+    transpose: "sp.csc_matrix"
+    #: Per-block variable bounds, (K, n).
+    lower: np.ndarray
+    upper: np.ndarray
+    #: Implied-upper-bound entry map over :attr:`matrix`.
+    bounds: ImpliedBounds
+    #: Blocks whose lower bounds are all finite; the others never box.
+    boxable: np.ndarray
+    #: Lower bounds over structural then slack variables, (K, n + m).
+    lower_ext: np.ndarray
+    #: The cold start of every block: the all-slack basis, its
+    #: statuses (structurals at lower) and its inverse.
+    cold_basis: np.ndarray
+    cold_status: np.ndarray
+    identity: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        blocks: Sequence["sp.csr_matrix"],
+        lower: np.ndarray,
+        upper: np.ndarray,
+    ) -> "_BlockStack":
+        """Stack same-shape CSR ``blocks`` with their (K, n) bounds."""
+        m, n = blocks[0].shape
+        matrix = blocks[0]
+        if len(blocks) > 1:
+            starts = np.cumsum([0] + [blk.nnz for blk in blocks])
+            matrix = sp.csr_matrix(
+                (
+                    np.concatenate([blk.data for blk in blocks]),
+                    np.concatenate(
+                        [blk.indices + k * n for k, blk in enumerate(blocks)]
+                    ),
+                    np.concatenate([starts[:1]] + [
+                        blk.indptr[1:] + start
+                        for blk, start in zip(blocks, starts)
+                    ]),
+                ),
+                shape=(len(blocks) * m, len(blocks) * n),
+            )
+        finite = np.isfinite(lower)
+        # A block with an infinite lower bound implies no bound (it falls
+        # back to HiGHS); compiling its entries at 0 keeps the others'.
+        bounds = ImpliedBounds.compile(
+            matrix, np.where(finite, lower, 0.0).ravel(), upper.ravel()
+        )
+        assert bounds is not None
+        num_blocks = len(blocks)
+        cold_status = np.full((num_blocks, n + m), _AT_LOWER, dtype=int)
+        cold_status[:, n:] = _BASIC
+        return cls(
+            n=n, m=m, matrix=matrix, csc=matrix.tocsc(),
+            transpose=matrix.T, lower=lower, upper=upper, bounds=bounds,
+            boxable=finite.all(axis=1),
+            lower_ext=np.concatenate(
+                [lower, np.zeros((num_blocks, m))], axis=1
+            ),
+            cold_basis=np.tile(n + np.arange(m), (num_blocks, 1)),
+            cold_status=cold_status,
+            identity=np.tile(np.eye(m), (num_blocks, 1, 1)),
+        )
+
+    @property
+    def num_blocks(self) -> int:
+        """K, the number of stacked blocks."""
+        return int(self.lower.shape[0])
+
+
+def _times(stack: _BlockStack, x: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """``A_k @ x_k`` for the blocks ``ks`` (the rows of ``x``)."""
+    full = np.zeros((stack.num_blocks, stack.n))
+    full[ks] = x
+    return (stack.matrix @ full.ravel()).reshape(-1, stack.m)[ks]
+
+
+def _rtimes(stack: _BlockStack, y: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """``y_k @ A_k`` for the blocks ``ks`` (the rows of ``y``).
+
+    Formed as the transpose's CSC mat-vec, the product scipy's
+    ``__rmatmul__`` runs, so every route pivots identically.
+    """
+    full = np.zeros((stack.num_blocks, stack.m))
+    full[ks] = y
+    return (stack.transpose @ full.ravel()).reshape(-1, stack.n)[ks]
+
+
+def _factor(
+    stack: _BlockStack, ks: np.ndarray, basis: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverses of the blocks' basis matrices ``[A_k | I][:, basis_k]``.
+
+    Gathers every basis column from the block-diagonal CSC and inverts
+    the stack in one call; returns the inverses and which are usable
+    (neither singular nor non-finite).
+    """
+    n, m = stack.n, stack.m
+    bmat = np.zeros((ks.size, m, m))
+    j, col = np.nonzero(basis < n)
+    var = ks[j] * n + basis[j, col]
+    ac = stack.csc
+    start = ac.indptr[var]
+    count = ac.indptr[var + 1] - start
+    owner = np.repeat(np.arange(var.size), count)
+    entry = np.arange(owner.size) + np.repeat(
+        start - (np.cumsum(count) - count), count
+    )
+    block = j[owner]
+    bmat[block, ac.indices[entry] - ks[block] * m, col[owner]] = ac.data[entry]
+    j, col = np.nonzero(basis >= n)
+    bmat[j, basis[j, col] - n, col] = 1.0
     try:
-        inv = np.linalg.inv(b_mat)
+        inv = np.linalg.inv(bmat)
     except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(inv)):
-        return None
-    return inv
+        # One singular basis fails the whole stack: factor the blocks
+        # one by one so that only the singular one starts cold.
+        inv = np.stack([_inverse_or_nan(b) for b in bmat])
+    return inv, np.isfinite(inv).all(axis=(1, 2))
 
 
-def _basis_norm1(
-    ac: "sp.csc_matrix", basis: np.ndarray, n: int
-) -> float:
-    """1-norm (max column abs-sum) of the basis matrix ``[A | I][:, basis]``.
+def _inverse_or_nan(b_mat: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(b_mat)
+    except np.linalg.LinAlgError:
+        return np.full_like(b_mat, np.nan)
+
+
+def _basis_norm1(stack: _BlockStack, k: int, basis: np.ndarray) -> float:
+    """1-norm (max column abs-sum) of block ``k``'s basis matrix.
 
     Built column-by-column from the CSC data so the sanitizer's
     condition estimate (``norm1(B) * norm1(B^{-1})``) never assembles
     the dense basis matrix a second time.
     """
+    ac, n = stack.csc, stack.n
     worst = 0.0
     for var in basis:
         if var < n:
-            start, end = ac.indptr[var], ac.indptr[var + 1]
+            start, end = ac.indptr[k * n + var], ac.indptr[k * n + var + 1]
             col_sum = float(np.abs(ac.data[start:end]).sum())
         else:
             col_sum = 1.0
@@ -253,207 +393,288 @@ def _basis_norm1(
     return worst
 
 
-def _restore_state(
-    state: Optional[SolverState],
-    lp: LinearProgram,
-    n: int,
-    m: int,
-    upper: np.ndarray,
-) -> Optional[Tuple[np.ndarray, np.ndarray, bool]]:
-    """Validate a warm-start token; return (basis, vstat, rhs_only)."""
-    if (
-        state is None
-        or state.method != "sparse"
-        or not state.matches(lp)
-        or state.basis is None
-        or state.slack is None
-    ):
-        return None
-    basis = np.asarray(state.basis, dtype=int)
-    vstat = np.asarray(state.slack, dtype=int)
-    if basis.shape != (m,) or vstat.shape != (n + m,):
-        return None
-    if basis.min(initial=0) < 0 or basis.max(initial=0) >= n + m:
-        return None
-    if int((vstat == _BASIC).sum()) != m or not np.all(vstat[basis] == _BASIC):
-        return None
-    # A nonbasic-at-upper variable needs a finite bound to sit on.
-    at_upper = vstat[:n] == _AT_UPPER
-    if np.any(at_upper & ~np.isfinite(upper[:n])):
-        return None
-    rhs_only = (
-        state.dual is not None
-        and np.asarray(state.dual).shape == lp.c.shape
-        and bool(np.array_equal(state.dual, lp.c))
-    )
-    return basis.copy(), vstat.copy(), rhs_only
+# ---------------------------------------------------------------------------
+# Bounded-variable dual simplex: one stacked restart, per-block pivots
+# ---------------------------------------------------------------------------
 
+@dataclass
+class _Restart:
+    """Per-block state of one stacked restart (see :func:`_restart`).
 
-def _dual_simplex(
-    lp: LinearProgram,
-    boxed_upper: np.ndarray,
-    state: Optional[SolverState],
-    max_iterations: Optional[int],
-    collector: Optional[Collector] = None,
-    ac: Optional["sp.csc_matrix"] = None,
-    at: Optional["sp.csc_matrix"] = None,
-) -> Solution:
-    """Bounded-variable dual simplex on ``A x + s = b`` (minimization).
-
-    ``ac`` (CSC) and ``at`` (the transpose of the CSR ``lp.a_ub``) are
-    the column-access forms of the constraint matrix; a caller solving
-    one matrix slot after slot passes them precompiled, otherwise they
-    are built once here.  Row products ``v @ A`` are formed as
-    ``at @ v``, the CSC mat-vec scipy's ``__rmatmul__`` runs after
-    transposing, so both routes pivot identically.
-
-    ``collector`` receives the numerical-sanitizer telemetry: NaN/inf
-    guard trips at the eta update (``sparse.nonfinite_guard_trips`` —
-    the iteration recovers through an early refactorization when the
-    fresh inverse is finite), 1-norm basis condition estimates at every
-    refactorization point (histogram ``sparse.basis_condition``), and
-    ill-conditioned bases above :data:`_CONDITION_LIMIT`
-    (``sparse.ill_conditioned_bases``).
+    Every array is indexed by block first; a block's pivots update its
+    rows in place.
     """
-    a = _as_csr(lp.a_ub)
-    if ac is None:
-        ac = a.tocsc()
-    if at is None:
-        at = a.T
-    m, n = a.shape
-    total = n + m
-    c_ext = np.concatenate([lp.c, np.zeros(m)])
-    lower = np.concatenate([lp.lower, np.zeros(m)])
-    upper = np.concatenate([boxed_upper, np.full(m, np.inf)])
-    fixed = upper - lower <= _TOL
-    limit = (
-        int(max_iterations) if max_iterations is not None
-        else 200 + 50 * (m + n)
-    )
 
-    warm_used = False
+    stack: _BlockStack
+    c: np.ndarray
+    b_ub: np.ndarray
+    #: Costs and bounds over structural then slack variables,
+    #: (K, n + m); the upper bounds are this slot's boxed ones.
+    c_ext: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    #: Blocks boxed at this slot; the others fall back to HiGHS.
+    boxed: np.ndarray
     basis: np.ndarray
     vstat: np.ndarray
-    binv: Optional[np.ndarray] = None
-    restored = _restore_state(state, lp, n, m, upper)
-    if restored is not None:
-        basis, vstat, rhs_only = restored
-        binv = _basis_inverse(ac, basis, n, m)
-        if binv is not None:
-            warm_used = True
-            if not rhs_only:
-                # Objective changed: re-establish dual feasibility by
-                # flipping nonbasic variables onto the bound their new
-                # reduced cost prefers (a bound flip moves no basis).
-                y = c_ext[basis] @ binv
-                d = c_ext.copy()
-                d[:n] -= at @ y
-                d[n:] -= y
-                flip_up = (vstat == _AT_LOWER) & (d < -_TOL)
-                flip_down = (vstat == _AT_UPPER) & (d > _TOL)
-                if np.any(flip_up & ~np.isfinite(upper)) or np.any(
-                    flip_down & ~np.isfinite(lower)
-                ):
-                    binv = None
-                    warm_used = False
-                else:
-                    vstat[flip_up] = _AT_UPPER
-                    vstat[flip_down] = _AT_LOWER
-    if binv is None:
-        # Cold start: all-slack basis, nonbasics at their dual-feasible
-        # bound.  Boxing guarantees the c<0 variables have one.
-        basis = n + np.arange(m)
-        vstat = np.full(total, _AT_LOWER, dtype=int)
-        vstat[:n][(lp.c < 0) & np.isfinite(upper[:n])] = _AT_UPPER
-        vstat[basis] = _BASIC
-        binv = np.eye(m)
-        warm_used = False
+    binv: np.ndarray
+    #: Blocks that restarted from their token.
+    warm: np.ndarray
+    #: Primal point and basic bound violations at the current bases.
+    x: np.ndarray
+    viol_low: np.ndarray
+    viol_up: np.ndarray
+    #: Terminal structural points, clipped to the original bounds.
+    point: np.ndarray
+    #: OPTIMAL, a failure, or ``None`` while the block needs pivots.
+    status: List[Optional[SolveStatus]]
+    message: List[str]
+    #: Pivot budget per block.
+    limit: int
+
+
+def _restart(
+    stack: _BlockStack,
+    c: np.ndarray,
+    b_ub: np.ndarray,
+    states: Sequence[Optional[SolverState]],
+    max_iterations: Optional[int],
+) -> _Restart:
+    """Restart the dual simplex of every stacked block at once.
+
+    ``c`` (K, n) and ``b_ub`` (K, m) are this slot's data and
+    ``states`` the blocks' tokens.  Block by block, in order: box the
+    variables (a block that cannot falls back to HiGHS); accept the
+    token when its method, signature, shapes, index range and basic
+    statuses check out and no nonbasic sits at an infinite upper bound,
+    else start cold; factor the token's basis (singular or non-finite:
+    cold); unless the token's dual equals ``c`` (RHS-only), flip the
+    nonbasics onto their dual-feasible bound (a flip onto an infinite
+    bound: cold); then take the primal point, the ``OPTIMALITY_TOL``
+    test, the clip to the original bounds and the ``FEASIBILITY_TOL``
+    check.  Each step runs once for the whole stack.
+    """
+    K, n, m = c.shape[0], stack.n, stack.m
+    boxed_upper = stack.bounds.upper_at(b_ub.ravel()).reshape(K, n)
+    finite = np.isfinite(boxed_upper)
+    # Cold start: all-slack basis, nonbasics at their dual-feasible
+    # bound.  Boxing guarantees the c<0 variables have one.
+    vstat = stack.cold_status.copy()
+    vstat[:, :n][(c < 0) & finite] = _AT_UPPER
+    r = _Restart(
+        stack=stack, c=c, b_ub=b_ub,
+        c_ext=np.concatenate([c, np.zeros((K, m))], axis=1),
+        lower=stack.lower_ext,
+        upper=np.concatenate([boxed_upper, np.full((K, m), np.inf)], axis=1),
+        boxed=stack.boxable & ~np.any((c < 0) & ~finite, axis=1),
+        basis=stack.cold_basis.copy(),
+        vstat=vstat,
+        binv=stack.identity.copy(),
+        warm=np.zeros(K, dtype=bool),
+        x=np.zeros((K, n + m)),
+        viol_low=np.zeros((K, m)),
+        viol_up=np.zeros((K, m)),
+        point=np.zeros((K, n)),
+        status=[None] * K,
+        message=[""] * K,
+        limit=(
+            int(max_iterations) if max_iterations is not None
+            else 200 + 50 * (m + n)
+        ),
+    )
+    _accept_tokens(r, states)
+    ks = np.flatnonzero(r.boxed)
+    if ks.size:
+        _judge(r, ks, _primal_points(r, ks))
+    return r
+
+
+def _accept_tokens(
+    r: _Restart, states: Sequence[Optional[SolverState]]
+) -> None:
+    """Restart each boxed block from its token where the token serves."""
+    stack = r.stack
+    n, m = stack.n, stack.m
+    offered: List[int] = []
+    bases: List[np.ndarray] = []
+    statuses: List[np.ndarray] = []
+    duals: List[np.ndarray] = []
+    # A dual of another shape never equals c: NaN compares unequal.
+    unequal = np.full(n, np.nan)
+    for k in np.flatnonzero(r.boxed):
+        state = states[k]
+        if (
+            state is None
+            or state.method != "sparse"
+            or tuple(state.signature) != (n, m, 0)
+            or state.basis is None
+            or state.slack is None
+        ):
+            continue
+        basis = np.asarray(state.basis, dtype=int)
+        vstat = np.asarray(state.slack, dtype=int)
+        if basis.shape != (m,) or vstat.shape != (n + m,):
+            continue
+        dual = None if state.dual is None else np.asarray(state.dual)
+        offered.append(int(k))
+        bases.append(basis)
+        statuses.append(vstat)
+        duals.append(
+            dual if dual is not None and dual.shape == (n,) else unequal
+        )
+    if not offered:
+        return
+    ks = np.array(offered)
+    basis, vstat = np.array(bases), np.array(statuses)
+    rows = np.arange(ks.size)[:, None]
+    in_range = (
+        (basis.min(axis=1, initial=0) >= 0)
+        & (basis.max(axis=1, initial=0) < n + m)
+    )
+    marked = vstat[rows, np.where(in_range[:, None], basis, 0)]
+    unbounded = ~np.isfinite(r.upper[ks])
+    valid = np.flatnonzero(
+        in_range
+        & ((vstat == _BASIC).sum(axis=1) == m)
+        & (marked == _BASIC).all(axis=1)
+        # A nonbasic-at-upper variable needs a finite bound to sit on.
+        & ~np.any((vstat[:, :n] == _AT_UPPER) & unbounded[:, :n], axis=1)
+    )
+    if not valid.size:
+        return
+    rhs_only = (np.array(duals)[valid] == r.c[ks[valid]]).all(axis=1)
+    binv, usable = _factor(stack, ks[valid], basis[valid])
+    keep = valid[usable]
+    ks, basis, vstat, binv = ks[keep], basis[keep], vstat[keep], binv[usable]
+    unbounded, rhs_only = unbounded[keep], rhs_only[usable]
+    flip = np.flatnonzero(~rhs_only)
+    if flip.size:
+        # Objective changed: re-establish dual feasibility by flipping
+        # nonbasic variables onto the bound their new reduced cost
+        # prefers (a bound flip moves no basis).
+        fk = ks[flip]
+        d = r.c_ext[fk]
+        y = np.matmul(
+            d[rows[:flip.size], basis[flip]][:, None, :], binv[flip]
+        )[:, 0, :]
+        d[:, :n] -= _rtimes(stack, y, fk)
+        d[:, n:] -= y
+        flipped = vstat[flip]
+        flip_up = (flipped == _AT_LOWER) & (d < -_TOL)
+        flip_down = (flipped == _AT_UPPER) & (d > _TOL)
+        flipped[flip_up] = _AT_UPPER
+        flipped[flip_down] = _AT_LOWER
+        vstat[flip] = flipped
+        # A flip onto an infinite bound starts the block cold (boxed
+        # blocks have finite lower bounds, so only an upper one can be).
+        keep = np.ones(ks.size, dtype=bool)
+        keep[flip] = ~np.any(flip_up & unbounded[flip], axis=1)
+        ks, basis, vstat, binv = ks[keep], basis[keep], vstat[keep], binv[keep]
+    r.basis[ks] = basis
+    r.vstat[ks] = vstat
+    r.binv[ks] = binv
+    r.warm[ks] = True
+
+
+def _primal_points(r: _Restart, ks: np.ndarray) -> np.ndarray:
+    """Primal points of blocks ``ks`` at their bases; their worst violations."""
+    rows = np.arange(ks.size)[:, None]
+    basis = r.basis[ks]
+    x = np.where(r.vstat[ks] == _AT_UPPER, r.upper[ks], r.lower[ks])
+    x[~np.isfinite(x)] = 0.0
+    x[rows, basis] = 0.0
+    rhs_eff = r.b_ub[ks] - _times(r.stack, x[:, :r.stack.n], ks)
+    x[rows, basis] = np.matmul(r.binv[ks], rhs_eff[:, :, None])[:, :, 0]
+    x_basic = x[rows, basis]
+    viol_low = r.lower[ks[:, None], basis] - x_basic
+    viol_up = x_basic - r.upper[ks[:, None], basis]
+    r.x[ks] = x
+    r.viol_low[ks] = viol_low
+    r.viol_up[ks] = viol_up
+    return np.maximum(viol_low, viol_up).max(axis=1, initial=0.0)
+
+
+def _judge(r: _Restart, ks: np.ndarray, worst: np.ndarray) -> None:
+    """Settle the blocks ``ks`` whose points violate at most ``worst``.
+
+    A non-finite violation is a numerical error; one within
+    ``OPTIMALITY_TOL`` ends the block at its clipped point, checked
+    against ``FEASIBILITY_TOL``; the rest keep status ``None``.
+    """
+    for k in ks[~np.isfinite(worst)]:
+        r.status[k] = SolveStatus.NUMERICAL_ERROR
+        r.message[k] = "non-finite basic solution"
+    done = ks[worst <= OPTIMALITY_TOL]
+    if not done.size:
+        return
+    stack = r.stack
+    lower, upper = stack.lower[done], stack.upper[done]
+    point = r.x[done, :stack.n]
+    np.clip(point, lower, upper, out=point)
+    r.point[done] = point
+    # Worst bound and row violations (a NaN fails the check).
+    bound = np.maximum(lower - point, point - upper).max(axis=1, initial=0.0)
+    row = (_times(stack, point, done) - r.b_ub[done]).max(axis=1, initial=0.0)
+    feasible = (bound <= FEASIBILITY_TOL) & (row <= FEASIBILITY_TOL)
+    for k, ok in zip(done, feasible):
+        if ok:
+            r.status[k] = SolveStatus.OPTIMAL
+        else:
+            r.status[k] = SolveStatus.NUMERICAL_ERROR
+            r.message[k] = "terminal point failed feasibility check"
+
+
+def _refactor(r: _Restart, k: int) -> bool:
+    """Refactorize block ``k``'s basis in place; False when unusable."""
+    binv, usable = _factor(r.stack, np.array([k]), r.basis[k][None])
+    if usable[0]:
+        r.binv[k] = binv[0]
+    return bool(usable[0])
+
+
+def _pivot(r: _Restart, k: int, collector: Optional[Collector]) -> int:
+    """Dual simplex pivots on block ``k`` from the restart's arrays.
+
+    Runs until the block settles (``r.status[k]``) and returns its
+    pivot count.  ``collector`` receives the numerical-sanitizer
+    telemetry: NaN/inf guard trips at the eta update
+    (``sparse.nonfinite_guard_trips`` — the iteration recovers through
+    an early refactorization when the fresh inverse is finite), 1-norm
+    basis condition estimates at every refactorization point (histogram
+    ``sparse.basis_condition``), and ill-conditioned bases above
+    :data:`_CONDITION_LIMIT` (``sparse.ill_conditioned_bases``).
+    """
+    stack = r.stack
+    n, ac = stack.n, stack.csc
+    block = np.array([k])
+    c_ext, lower, upper = r.c_ext[k], r.lower[k], r.upper[k]
+    # Views: a pivot updates the restart's rows in place.
+    basis, vstat, binv = r.basis[k], r.vstat[k], r.binv[k]
+    viol_low, viol_up = r.viol_low[k], r.viol_up[k]
+    fixed = upper - lower <= _TOL
+    alpha = np.empty(n + stack.m)  # pivot-row scratch, reused every pivot
+
+    def stop(status: SolveStatus, message: str) -> int:
+        r.status[k], r.message[k] = status, message
+        return iterations
 
     iterations = 0
     since_refactor = 0
-    alpha = np.empty(total)  # pivot-row scratch, reused every iteration
     while True:
-        # Primal point at the current basis/statuses.
-        x = np.where(vstat == _AT_UPPER, upper, lower)
-        x[~np.isfinite(x)] = 0.0
-        x[basis] = 0.0
-        rhs_eff = lp.b_ub - a @ x[:n]
-        x[basis] = binv @ rhs_eff
-
-        viol_low = lower[basis] - x[basis]
-        viol_up = x[basis] - upper[basis]
+        if iterations >= r.limit:
+            return stop(
+                SolveStatus.ITERATION_LIMIT,
+                f"dual simplex hit {r.limit} iterations",
+            )
         viol = np.maximum(viol_low, viol_up)
-        worst = float(viol.max(initial=0.0))
-        if not np.isfinite(worst):
-            return Solution(
-                status=SolveStatus.NUMERICAL_ERROR,
-                message="non-finite basic solution",
-                iterations=iterations,
-                warm_start_used=warm_used,
-            )
-        if worst <= OPTIMALITY_TOL:
-            x_struct = x[:n].copy()
-            np.clip(x_struct, lp.lower, lp.upper, out=x_struct)
-            if not lp.is_feasible(x_struct, tol=FEASIBILITY_TOL):
-                return Solution(
-                    status=SolveStatus.NUMERICAL_ERROR,
-                    message="terminal point failed feasibility check",
-                    iterations=iterations,
-                    warm_start_used=warm_used,
-                )
-            y = c_ext[basis] @ binv
-            out_state = SolverState(
-                method="sparse",
-                signature=problem_signature(lp),
-                basis=basis.copy(),
-                slack=vstat.astype(float),
-                dual=lp.c.copy(),
-                point=x_struct.copy(),
-            )
-            # The duals certify the *boxed* problem.  They transfer to
-            # the original LP unless a structural variable ends nonbasic
-            # at an artificial box (original upper infinite) with a
-            # meaningfully negative reduced cost — the box is redundant
-            # for the feasible set (so x stays optimal), but its
-            # multiplier belongs to the rows implying the bound, and
-            # emitting it as-is would fail an independent reduced-cost
-            # certificate.  Degrade to primal-only in that case.
-            marginals: Optional[np.ndarray] = y.copy()
-            at_box = (
-                (vstat[:n] == _AT_UPPER) & ~np.isfinite(lp.upper)
-            )
-            if np.any(at_box):
-                d_box = lp.c[at_box] - (at @ y)[at_box]
-                tol_box = OPTIMALITY_TOL * max(
-                    1.0, float(np.abs(lp.c).max(initial=0.0))
-                )
-                if np.any(d_box < -tol_box):
-                    marginals = None
-            return Solution(
-                status=SolveStatus.OPTIMAL,
-                x=x_struct,
-                objective=float(lp.c @ x_struct),
-                iterations=iterations,
-                ineq_marginals=marginals,
-                state=out_state,
-                warm_start_used=warm_used,
-            )
-        if iterations >= limit:
-            return Solution(
-                status=SolveStatus.ITERATION_LIMIT,
-                message=f"dual simplex hit {limit} iterations",
-                iterations=iterations,
-                warm_start_used=warm_used,
-            )
-
         i = int(np.argmax(viol))
         below = viol_low[i] >= viol_up[i]
         rho = binv[i]
-        alpha[:n] = at @ rho
+        alpha[:n] = _rtimes(stack, rho[None], block)[0]
         alpha[n:] = rho
         y = c_ext[basis] @ binv
         d = c_ext.copy()
-        d[:n] -= at @ y
+        d[:n] -= _rtimes(stack, y[None], block)[0]
         d[n:] -= y
 
         abar = alpha if below else -alpha
@@ -463,11 +684,9 @@ def _dual_simplex(
         )
         eligible[basis] = False
         if not np.any(eligible):
-            return Solution(
-                status=SolveStatus.INFEASIBLE,
-                message="dual simplex: no entering column (primal infeasible)",
-                iterations=iterations,
-                warm_start_used=warm_used,
+            return stop(
+                SolveStatus.INFEASIBLE,
+                "dual simplex: no entering column (primal infeasible)",
             )
         idx = np.flatnonzero(eligible)
         ratios = d[idx] / -abar[idx]
@@ -477,17 +696,13 @@ def _dual_simplex(
         q = int(near[np.argmax(np.abs(abar[near]))])
 
         if q < n:
-            start, end = ac.indptr[q], ac.indptr[q + 1]
-            u = binv[:, ac.indices[start:end]] @ ac.data[start:end]
+            start, end = ac.indptr[k * n + q], ac.indptr[k * n + q + 1]
+            rows = ac.indices[start:end] - k * stack.m
+            u = binv[:, rows] @ ac.data[start:end]
         else:
             u = binv[:, q - n].copy()
         if abs(u[i]) < _PIVOT_TOL:
-            return Solution(
-                status=SolveStatus.NUMERICAL_ERROR,
-                message="vanishing pivot",
-                iterations=iterations,
-                warm_start_used=warm_used,
-            )
+            return stop(SolveStatus.NUMERICAL_ERROR, "vanishing pivot")
         leaving = int(basis[i])
         vstat[leaving] = _AT_LOWER if below else _AT_UPPER
         vstat[q] = _BASIC
@@ -504,37 +719,88 @@ def _dual_simplex(
             # product-form error is discarded — and only give up when
             # the basis itself is singular or non-finite.
             _count(collector, "sparse.nonfinite_guard_trips")
-            fresh = _basis_inverse(ac, basis, n, m)
-            if fresh is None:
-                return Solution(
-                    status=SolveStatus.NUMERICAL_ERROR,
-                    message="non-finite basis inverse after eta update",
-                    iterations=iterations,
-                    warm_start_used=warm_used,
+            if not _refactor(r, k):
+                return stop(
+                    SolveStatus.NUMERICAL_ERROR,
+                    "non-finite basis inverse after eta update",
                 )
-            binv = fresh
             since_refactor = 0
         if since_refactor >= 100:
-            fresh = _basis_inverse(ac, basis, n, m)
-            if fresh is None:
-                return Solution(
-                    status=SolveStatus.NUMERICAL_ERROR,
-                    message="singular basis at refactorization",
-                    iterations=iterations,
-                    warm_start_used=warm_used,
+            if not _refactor(r, k):
+                return stop(
+                    SolveStatus.NUMERICAL_ERROR,
+                    "singular basis at refactorization",
                 )
             if collector is not None and collector.enabled:
                 # Condition estimate at the refactorization point: the
                 # drifted eta-product inverse is being replaced anyway,
                 # so one extra norm is the cheapest honest health check.
-                cond = _basis_norm1(ac, basis, n) * float(
-                    np.abs(fresh).sum(axis=0).max(initial=0.0)
+                cond = _basis_norm1(stack, k, basis) * float(
+                    np.abs(binv).sum(axis=0).max(initial=0.0)
                 )
                 collector.observe("sparse.basis_condition", cond)
                 if cond > _CONDITION_LIMIT:
                     collector.increment("sparse.ill_conditioned_bases")
-            binv = fresh
             since_refactor = 0
+        _judge(r, block, _primal_points(r, block))
+        if r.status[k] is not None:
+            return iterations
+
+
+def _finish_block(
+    r: _Restart,
+    k: int,
+    collector: Optional[Collector],
+    max_iterations: Optional[int],
+    program: Callable[[], LinearProgram],
+) -> Solution:
+    """Finish block ``k`` of a restart: pivot, count, or fall back.
+
+    A block the restart left unsettled pivots from the restart's basis.
+    An optimum carries the block's ``method="sparse"`` token; a block
+    that cannot box, or whose dual simplex fails short of its iteration
+    limit, goes to HiGHS on ``program()`` — the only use of a per-block
+    :class:`LinearProgram`.
+    """
+    # A taller block skips the dense basis inverse altogether.
+    direct = r.stack.m <= SPARSE_DIRECT_ROW_LIMIT
+    if direct and not r.boxed[k]:
+        _count(collector, "sparse.box_fallbacks")
+    elif direct:
+        iterations = 0 if r.status[k] is not None else _pivot(r, k, collector)
+        status, warm = r.status[k], bool(r.warm[k])
+        if status is SolveStatus.OPTIMAL:
+            _count(
+                collector,
+                "sparse.warm_hits" if warm else "sparse.cold_solves",
+            )
+            _count(collector, "sparse.iterations", iterations)
+            x = r.point[k].copy()
+            return Solution(
+                status=status,
+                x=x,
+                iterations=iterations,
+                state=SolverState(
+                    method="sparse",
+                    signature=(r.stack.n, r.stack.m, 0),
+                    basis=r.basis[k].copy(),
+                    slack=r.vstat[k].astype(float),
+                    dual=r.c[k].copy(),
+                    point=x.copy(),
+                ),
+                warm_start_used=warm,
+            )
+        if status is SolveStatus.ITERATION_LIMIT:
+            return Solution(
+                status=status,
+                message=r.message[k],
+                iterations=iterations,
+                warm_start_used=warm,
+            )
+        _count(collector, "sparse.highs_fallbacks")
+    return solve_lp(
+        program(), "highs", collector=collector, max_iterations=max_iterations
+    )
 
 
 def solve_sparse_lp(
@@ -547,62 +813,52 @@ def solve_sparse_lp(
 
     The direct bounded-variable dual simplex handles the common slot-LP
     shape: inequality rows only, boxable variables, at most
-    :data:`SPARSE_DIRECT_ROW_LIMIT` rows.  Everything else — and any
+    :data:`SPARSE_DIRECT_ROW_LIMIT` rows.  It is the stacked restart
+    over a stack of one, plus the row duals.  Everything else — and any
     numerical failure or infeasibility claim of the direct solver — is
     delegated to HiGHS, which consumes the sparse matrix without
     densifying.  ``state`` tokens produced here (``method="sparse"``)
     enable the RHS-only dual re-solve fast path across slots.
     """
-    return _solve_sparse(lp, state, collector, max_iterations)
-
-
-def _solve_sparse(
-    lp: LinearProgram,
-    state: Optional[SolverState],
-    collector: Optional[Collector],
-    max_iterations: Optional[int],
-    block: Optional["CompiledBlock"] = None,
-) -> Solution:
-    """:func:`solve_sparse_lp`, reusing ``block``'s compiled structure.
-
-    Without ``block`` the implied bounds, CSC and transpose of
-    ``lp.a_ub`` are built for this call (the joint solve).
-    """
-    direct_ok = (
-        lp.a_ub is not None
-        and lp.a_eq is None
-        and lp.a_ub.shape[0] <= SPARSE_DIRECT_ROW_LIMIT
+    if (
+        lp.a_ub is None
+        or lp.a_eq is not None
+        or lp.a_ub.shape[0] > SPARSE_DIRECT_ROW_LIMIT
+    ):
+        return solve_lp(
+            lp, "highs", collector=collector, max_iterations=max_iterations
+        )
+    assert lp.b_ub is not None
+    r = _restart(
+        _BlockStack.of([_as_csr(lp.a_ub)], lp.lower[None], lp.upper[None]),
+        lp.c[None], lp.b_ub[None], [state], max_iterations,
     )
-    boxed: Optional[np.ndarray] = None
-    if direct_ok:
-        bounds = (
-            ImpliedBounds.compile(lp.a_ub, lp.lower, lp.upper)
-            if block is None else block.bounds
+    solution = _finish_block(r, 0, collector, max_iterations, lambda: lp)
+    if r.status[0] is SolveStatus.OPTIMAL:
+        assert solution.x is not None
+        # The duals certify the *boxed* problem.  They transfer to the
+        # original LP unless a structural variable ends nonbasic at an
+        # artificial box (original upper infinite) with a meaningfully
+        # negative reduced cost — the box is redundant for the feasible
+        # set (so x stays optimal), but its multiplier belongs to the
+        # rows implying the bound, and emitting it as-is would fail an
+        # independent reduced-cost certificate.  Degrade to primal-only
+        # in that case.
+        y = r.c_ext[0][r.basis[0]] @ r.binv[0]
+        marginals: Optional[np.ndarray] = y
+        at_box = (r.vstat[0][:lp.num_variables] == _AT_UPPER) & ~np.isfinite(
+            lp.upper
         )
-        if bounds is not None and lp.b_ub is not None:
-            boxed = bounds.evaluate(lp.c, lp.b_ub)
-        if boxed is None:
-            _count(collector, "sparse.box_fallbacks")
-    if boxed is not None:
-        solution = _dual_simplex(
-            lp, boxed, state, max_iterations, collector=collector,
-            ac=None if block is None else block.csc,
-            at=None if block is None else block.transpose,
-        )
-        if solution.status is SolveStatus.OPTIMAL:
-            _count(
-                collector,
-                "sparse.warm_hits" if solution.warm_start_used
-                else "sparse.cold_solves",
+        if np.any(at_box):
+            d_box = lp.c[at_box] - (r.stack.transpose @ y)[at_box]
+            tol_box = OPTIMALITY_TOL * max(
+                1.0, float(np.abs(lp.c).max(initial=0.0))
             )
-            _count(collector, "sparse.iterations", solution.iterations)
-            return solution
-        if solution.status is SolveStatus.ITERATION_LIMIT:
-            return solution
-        _count(collector, "sparse.highs_fallbacks")
-    return solve_lp(
-        lp, "highs", collector=collector, max_iterations=max_iterations
-    )
+            if np.any(d_box < -tol_box):
+                marginals = None
+        solution.objective = float(lp.c @ solution.x)
+        solution.ineq_marginals = marginals
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +881,8 @@ def class_blocks(
     Variables ``lam_{k,s,l}`` / ``Phi_{k,l}`` and the delay/arrival rows
     of class ``k`` form block ``k``; the L share-budget rows (the only
     rows mixing classes) are the coupling rows, returned as an index
-    array of dtype intp.  Index layout mirrors
-    :meth:`FixedLevelLPCache._build_aggregated_structure`.
+    array of dtype intp.  Every block is ``(S+L) x (S*L+L)``.  Index
+    layout mirrors :meth:`FixedLevelLPCache._build_aggregated_structure`.
     """
     n_lam = K * S * L
     blocks: List[BlockPlan] = []
@@ -645,22 +901,6 @@ def class_blocks(
 
 
 @dataclass(frozen=True)
-class CompiledBlock:
-    """One block's slot-invariant structure, cut once from the full LP."""
-
-    var_idx: np.ndarray
-    row_idx: np.ndarray
-    #: The block's constraint matrix as CSR, CSC, and CSR transpose.
-    matrix: "sp.csr_matrix"
-    csc: "sp.csc_matrix"
-    transpose: "sp.csc_matrix"
-    lower: np.ndarray
-    upper: np.ndarray
-    #: Implied-upper-bound entry maps; ``None`` when unboxable.
-    bounds: Optional[ImpliedBounds]
-
-
-@dataclass(frozen=True)
 class CompiledDecomposition:
     """A validated block split of one constraint matrix and bound pair.
 
@@ -672,14 +912,23 @@ class CompiledDecomposition:
     matrix: "sp.csr_matrix"
     lower: np.ndarray
     upper: np.ndarray
-    blocks: Tuple[CompiledBlock, ...]
+    #: Each block's columns and rows in the full program, (K, n) and
+    #: (K, m); row ``k`` is block ``k``.
+    var_idx: np.ndarray
+    row_idx: np.ndarray
+    #: The blocks, stacked block-diagonally and restarted together.
+    stack: _BlockStack
     coupling_rows: np.ndarray
     #: CSR of the coupling rows, for the recombination check.
     coupling_matrix: "sp.csr_matrix"
 
     def matches(self, lp: LinearProgram) -> bool:
-        """True when ``lp`` has the compiled matrix and bounds."""
-        if lp.a_ub is None:
+        """True when ``lp`` has the compiled matrix and bounds.
+
+        A program with equality rows never matches: dropping its
+        coupling rows would not account for them.
+        """
+        if lp.a_ub is None or lp.a_eq is not None:
             return False
         if lp.a_ub is not self.matrix:
             a, ref = _as_csr(lp.a_ub), self.matrix
@@ -695,6 +944,15 @@ class CompiledDecomposition:
             and np.array_equal(lp.upper, self.upper)
         )
 
+    def block_program(
+        self, k: int, c: np.ndarray, b_ub: np.ndarray
+    ) -> LinearProgram:
+        """Block ``k``'s own program at ``c``/``b_ub`` (its HiGHS fallback)."""
+        return LinearProgram(
+            c=c, a_ub=self.matrix[self.row_idx[k]][:, self.var_idx[k]],
+            b_ub=b_ub, lower=self.stack.lower[k], upper=self.stack.upper[k],
+        )
+
 
 def compile_decomposition(
     lp: LinearProgram,
@@ -705,13 +963,21 @@ def compile_decomposition(
 
     Blocks must partition every column and every non-coupling row, and
     each block's rows may only touch that block's columns — otherwise
-    dropping the coupling rows would silently change the problem.  Runs
-    once per constraint matrix (the optimizer calls it on its first
-    sparse slot): everything slot-invariant is cut here, so a slot's
+    dropping the coupling rows would silently change the problem.  For
+    the same reason ``lp`` may have no equality rows.  All blocks must
+    share one shape (:func:`class_blocks` always gives
+    ``(S+L) x (S*L+L)``) so that they stack.  Runs once per constraint
+    matrix (the optimizer calls it on its first sparse slot): everything
+    slot-invariant is cut and stacked here, so a slot's
     :func:`solve_decomposed` only gathers ``c`` and ``b_ub``.
     """
     if lp.a_ub is None:
         raise ValueError("block decomposition needs inequality rows")
+    if lp.a_eq is not None:
+        raise ValueError(
+            "block decomposition cannot split equality rows; "
+            "solve the program jointly"
+        )
     a = _as_csr(lp.a_ub)
     m, n = a.shape
     col_owner = np.full(n, -1)
@@ -732,29 +998,34 @@ def compile_decomposition(
         col_owner[a.indices[in_block]] != row_owner[entry_row[in_block]]
     ):
         raise ValueError("a non-coupling row touches a foreign block's column")
-    compiled: List[CompiledBlock] = []
-    for blk in blocks:
-        sub = a[blk.row_idx][:, blk.var_idx]
-        lower = lp.lower[blk.var_idx]
-        upper = lp.upper[blk.var_idx]
-        compiled.append(CompiledBlock(
-            var_idx=blk.var_idx,
-            row_idx=blk.row_idx,
-            matrix=sub,
-            csc=sub.tocsc(),
-            transpose=sub.T,
-            lower=lower,
-            upper=upper,
-            bounds=ImpliedBounds.compile(sub, lower, upper),
-        ))
+    shapes = sorted({(len(blk.row_idx), len(blk.var_idx)) for blk in blocks})
+    if len(shapes) != 1:
+        raise ValueError(
+            f"blocks must share one (rows, columns) shape to stack, "
+            f"got {shapes}"
+        )
+    var_idx = np.stack([np.asarray(blk.var_idx) for blk in blocks])
+    row_idx = np.stack([np.asarray(blk.row_idx) for blk in blocks])
     return CompiledDecomposition(
         matrix=a,
         lower=lp.lower.copy(),
         upper=lp.upper.copy(),
-        blocks=tuple(compiled),
+        var_idx=var_idx,
+        row_idx=row_idx,
+        stack=_BlockStack.of(
+            [a[rows][:, cols] for rows, cols in zip(row_idx, var_idx)],
+            lp.lower[var_idx], lp.upper[var_idx],
+        ),
         coupling_rows=coupling_rows,
         coupling_matrix=a[coupling_rows],
     )
+
+
+def _worker_error(label: str, exc: Exception) -> Exception:
+    """``WorkerError`` naming ``label`` and ``exc``'s type and text."""
+    from repro.sim.parallel import WorkerError
+
+    return WorkerError(f"{label}: {type(exc).__name__}: {exc}")
 
 
 @dataclass
@@ -766,21 +1037,6 @@ class DecomposedSolution:
     num_blocks: int
 
 
-def _solve_block(
-    block: CompiledBlock, c: np.ndarray, b_ub: np.ndarray,
-    block_state: Optional[SolverState], collector: Optional[Collector],
-    max_iterations: Optional[int],
-) -> Solution:
-    """Solve one compiled block at this slot's ``c`` and ``b_ub``."""
-    block_lp = LinearProgram(
-        c=c, a_ub=block.matrix, b_ub=b_ub,
-        lower=block.lower, upper=block.upper,
-    )
-    return _solve_sparse(
-        block_lp, block_state, collector, max_iterations, block=block
-    )
-
-
 def solve_decomposed(  # reprolint: disable=RP004
     lp: LinearProgram,
     compiled: CompiledDecomposition,
@@ -790,53 +1046,57 @@ def solve_decomposed(  # reprolint: disable=RP004
 ) -> Optional[DecomposedSolution]:
     """Optimistically solve ``lp`` block by block; ``None`` on failure.
 
-    Gathers each compiled block's slice of ``lp.c`` and ``lp.b_ub``,
-    solves every block independently (each with its own warm-start
-    token), and recombines.  When the recombined point satisfies the
-    dropped coupling rows, the relaxation optimum is feasible for the
-    full program and therefore globally optimal.  Returns ``None`` —
-    caller joint-solves — when a block fails or a coupling row is
-    violated.  Raises ``ValueError`` when ``lp``'s matrix or bounds are
-    not the ones ``compiled`` was built from, and
-    :class:`~repro.sim.parallel.WorkerError` naming the block's class
-    when a block solve raises.
+    Gathers the compiled blocks' slices of ``lp.c`` and ``lp.b_ub``
+    once, restarts every block in one stacked pass (each from its own
+    warm-start token), pivots only the blocks that need it, and
+    recombines.  When the recombined point satisfies the dropped
+    coupling rows, the relaxation optimum is feasible for the full
+    program and therefore globally optimal.  Returns ``None`` — caller
+    joint-solves — when a block fails or a coupling row is violated.
+    Raises ``ValueError`` when ``lp``'s matrix or bounds are not the
+    ones ``compiled`` was built from (or ``lp`` has equality rows), and
+    :class:`~repro.sim.parallel.WorkerError` when a solve raises: a
+    block's pivots or fallback name its class (``block[class=k]``), the
+    stacked pass names every class it covered (``block[class=0,1,2]``).
 
     ``collector`` receives the block solves' ``sparse.*`` counters as
     well as the decomposition's own.
     """
     if not compiled.matches(lp):
         raise ValueError(
-            "LP matrix or bounds differ from the compiled decomposition; "
-            "compile one for this LP's constraint matrix"
+            "LP matrix, bounds or equality rows differ from the compiled "
+            "decomposition; compile one for this LP's constraint matrix"
         )
     assert lp.b_ub is not None
-    blocks = compiled.blocks
+    num_blocks = compiled.stack.num_blocks
     block_states: List[Optional[SolverState]] = (
-        list(states) if states is not None and len(states) == len(blocks)
-        else [None] * len(blocks)
+        list(states) if states is not None and len(states) == num_blocks
+        else [None] * num_blocks
     )
-    from repro.sim.parallel import WorkerError
-
+    c, b_ub = lp.c[compiled.var_idx], lp.b_ub[compiled.row_idx]
+    # Blocks are per-class (see class_blocks), so a crash names the
+    # classes it hit.
+    try:
+        restart = _restart(
+            compiled.stack, c, b_ub, block_states, max_iterations
+        )
+    except Exception as exc:
+        classes = ",".join(str(k) for k in range(num_blocks))
+        raise _worker_error(f"block[class={classes}]", exc) from exc
     results: List[Solution] = []
-    for k, (blk, block_state) in enumerate(zip(blocks, block_states)):
-        # Blocks are per-class (see class_blocks), so a crash inside one
-        # block solve names the originating block's class index.
+    for k in range(num_blocks):
         try:
-            results.append(_solve_block(
-                blk, lp.c[blk.var_idx], lp.b_ub[blk.row_idx], block_state,
-                collector, max_iterations,
+            results.append(_finish_block(
+                restart, k, collector, max_iterations,
+                lambda k=k: compiled.block_program(k, c[k], b_ub[k]),
             ))
         except Exception as exc:
-            raise WorkerError(
-                f"block[class={k}]: {type(exc).__name__}: {exc}"
-            ) from exc
+            raise _worker_error(f"block[class={k}]", exc) from exc
     if any(not r.ok for r in results):
         _count(collector, "sparse.block_failures")
         return None
     x = np.zeros(lp.num_variables)
-    for blk, res in zip(blocks, results):
-        assert res.x is not None
-        x[blk.var_idx] = res.x
+    x[compiled.var_idx] = np.stack([r.x for r in results])
     coupling_rows = compiled.coupling_rows
     slack = lp.b_ub[coupling_rows] - compiled.coupling_matrix @ x
     scale = np.maximum(1.0, np.abs(lp.b_ub[coupling_rows]))
@@ -849,11 +1109,11 @@ def solve_decomposed(  # reprolint: disable=RP004
         objective=float(lp.c @ x),
         iterations=sum(r.iterations for r in results),
         warm_start_used=any(r.warm_start_used for r in results),
-        message=f"decomposed into {len(blocks)} blocks",
+        message=f"decomposed into {num_blocks} blocks",
     )
     _count(collector, "sparse.decomposed_solves")
     return DecomposedSolution(
         solution=solution,
         states=[r.state for r in results],
-        num_blocks=len(blocks),
+        num_blocks=num_blocks,
     )

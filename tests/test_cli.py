@@ -131,6 +131,19 @@ class TestCommands:
         for t in traces:
             assert t.phase_time_total <= t.total_time + 1e-9
 
+    def test_trace_sparse_splits_the_solve_phases(self, capsys, tmp_path):
+        out = tmp_path / "sparse-traces.jsonl"
+        assert main(["trace", "--scenario", "section6", "--slots", "3",
+                     "--sparse", "--out", str(out)]) == 0
+        assert "sparse.cold_solves" in capsys.readouterr().out
+
+        from repro.obs import read_traces
+        traces = read_traces(out)
+        assert [t.slot for t in traces] == [0, 1, 2]
+        for t in traces:
+            assert {"decompose", "solve", "expand"} <= set(t.phase_times)
+            assert t.fallback == 0
+
     def test_trace_parallel_merges(self, capsys):
         assert main(["trace", "--scenario", "section6",
                      "--slots", "4", "--workers", "2"]) == 0

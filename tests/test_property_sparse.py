@@ -5,13 +5,19 @@ Randomized counterpart of ``test_sparse_solver.py``, in the style of
 sequences, and synthetic LPs, the sparse path (CSR formulation, direct
 dual simplex, decomposition, optimizer wiring) must reproduce the dense
 path's objectives and plans to 1e-6 relative tolerance — warm and cold,
-with and without presolve.
+with and without presolve.  ``TestStackedRestartMatchesOneProgramSimplex``
+pins the stacked warm restart bit for bit to the one-program dual
+simplex it replaced, kept below as the reference.
 """
 
+from dataclasses import replace
+from typing import Optional, Tuple
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from repro.cloud.datacenter import DataCenter
 from repro.cloud.frontend import FrontEnd
@@ -22,14 +28,31 @@ from repro.core.objective import evaluate_plan
 from repro.core.optimizer import ProfitAwareOptimizer
 from repro.core.request import RequestClass
 from repro.core.tuf import ConstantTUF
-from repro.solvers.base import LinearProgram
+from repro.obs.collectors import NULL_COLLECTOR, Collector, InMemoryCollector
+from repro.solvers import sparse as sparse_mod
+from repro.solvers.base import (
+    LinearProgram,
+    Solution,
+    SolverState,
+    SolveStatus,
+    problem_signature,
+)
 from repro.solvers.linprog import solve_lp
 from repro.solvers.presolve import presolve
 from repro.solvers.sparse import (
+    BlockPlan,
+    DecomposedSolution,
+    ImpliedBounds,
     class_blocks,
     compile_decomposition,
     solve_decomposed,
     solve_sparse_lp,
+)
+from repro.solvers.tolerances import (
+    FEASIBILITY_TOL,
+    OPTIMALITY_TOL,
+    PIVOT_TOL,
+    ZERO_TOL,
 )
 
 REL_TOL = 1e-6
@@ -59,7 +82,6 @@ def boxable_lp_pairs(draw, max_vars=7, max_rows=5):
                         elements=st.floats(-3.0, 3.0, allow_nan=False)))
         b = draw(arrays(float, m,
                         elements=st.floats(0.5, 4.0, allow_nan=False)))
-        from scipy import sparse
         return LinearProgram(c=c, a_ub=sparse.csr_matrix(a), b_ub=b)
 
     return instance(), instance()
@@ -271,3 +293,658 @@ class TestOptimizerSparseEquivalence:
             cold.plan_slot(arrivals, prices)
             assert _close(warm.last_stats.objective,
                           cold.last_stats.objective)
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit pin of the stacked restart
+# ---------------------------------------------------------------------------
+#
+# The reference below is the one-program dual simplex the stacked restart
+# replaced: it restores one token, inverts one basis column by column,
+# flips, pivots and checks its own terminal point.  Every solve of the
+# sparse module must reproduce it byte for byte — points, statuses,
+# iterations, warm flags, every token field, joint duals — and count the
+# same ``sparse.*`` counters.
+
+_TOL = ZERO_TOL
+_PIVOT_TOL = PIVOT_TOL
+_CONDITION_LIMIT = 1e12
+_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+
+
+def _count(collector, name, value=1):
+    (collector if collector is not None else NULL_COLLECTOR).increment(
+        name, value
+    )
+
+
+def _as_csr(a):
+    if sparse.issparse(a):
+        return a.tocsr()
+    return sparse.csr_matrix(np.asarray(a, dtype=float))
+
+
+def _basis_inverse(
+    ac: "sparse.csc_matrix", basis: np.ndarray, n: int, m: int
+) -> Optional[np.ndarray]:
+    """Inverse of the basis matrix ``[A | I][:, basis]``, or ``None``."""
+    b_mat = np.zeros((m, m))
+    for col, var in enumerate(basis):
+        if var < n:
+            start, end = ac.indptr[var], ac.indptr[var + 1]
+            b_mat[ac.indices[start:end], col] = ac.data[start:end]
+        else:
+            b_mat[var - n, col] = 1.0
+    try:
+        inv = np.linalg.inv(b_mat)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(inv)):
+        return None
+    return inv
+
+
+def _basis_norm1(
+    ac: "sparse.csc_matrix", basis: np.ndarray, n: int
+) -> float:
+    """1-norm (max column abs-sum) of the basis matrix ``[A | I][:, basis]``.
+
+    Built column-by-column from the CSC data so the sanitizer's
+    condition estimate (``norm1(B) * norm1(B^{-1})``) never assembles
+    the dense basis matrix a second time.
+    """
+    worst = 0.0
+    for var in basis:
+        if var < n:
+            start, end = ac.indptr[var], ac.indptr[var + 1]
+            col_sum = float(np.abs(ac.data[start:end]).sum())
+        else:
+            col_sum = 1.0
+        if col_sum > worst:
+            worst = col_sum
+    return worst
+
+
+def _restore_state(
+    state: Optional[SolverState],
+    lp: LinearProgram,
+    n: int,
+    m: int,
+    upper: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray, bool]]:
+    """Validate a warm-start token; return (basis, vstat, rhs_only)."""
+    if (
+        state is None
+        or state.method != "sparse"
+        or not state.matches(lp)
+        or state.basis is None
+        or state.slack is None
+    ):
+        return None
+    basis = np.asarray(state.basis, dtype=int)
+    vstat = np.asarray(state.slack, dtype=int)
+    if basis.shape != (m,) or vstat.shape != (n + m,):
+        return None
+    if basis.min(initial=0) < 0 or basis.max(initial=0) >= n + m:
+        return None
+    if int((vstat == _BASIC).sum()) != m or not np.all(vstat[basis] == _BASIC):
+        return None
+    # A nonbasic-at-upper variable needs a finite bound to sit on.
+    at_upper = vstat[:n] == _AT_UPPER
+    if np.any(at_upper & ~np.isfinite(upper[:n])):
+        return None
+    rhs_only = (
+        state.dual is not None
+        and np.asarray(state.dual).shape == lp.c.shape
+        and bool(np.array_equal(state.dual, lp.c))
+    )
+    return basis.copy(), vstat.copy(), rhs_only
+
+
+def _dual_simplex(
+    lp: LinearProgram,
+    boxed_upper: np.ndarray,
+    state: Optional[SolverState],
+    max_iterations: Optional[int],
+    collector: Optional[Collector] = None,
+    ac: Optional["sparse.csc_matrix"] = None,
+    at: Optional["sparse.csc_matrix"] = None,
+) -> Solution:
+    """Bounded-variable dual simplex on ``A x + s = b`` (minimization).
+
+    ``ac`` (CSC) and ``at`` (the transpose of the CSR ``lp.a_ub``) are
+    the column-access forms of the constraint matrix; a caller solving
+    one matrix slot after slot passes them precompiled, otherwise they
+    are built once here.  Row products ``v @ A`` are formed as
+    ``at @ v``, the CSC mat-vec scipy's ``__rmatmul__`` runs after
+    transposing, so both routes pivot identically.
+
+    ``collector`` receives the numerical-sanitizer telemetry: NaN/inf
+    guard trips at the eta update (``sparse.nonfinite_guard_trips`` —
+    the iteration recovers through an early refactorization when the
+    fresh inverse is finite), 1-norm basis condition estimates at every
+    refactorization point (histogram ``sparse.basis_condition``), and
+    ill-conditioned bases above :data:`_CONDITION_LIMIT`
+    (``sparse.ill_conditioned_bases``).
+    """
+    a = _as_csr(lp.a_ub)
+    if ac is None:
+        ac = a.tocsc()
+    if at is None:
+        at = a.T
+    m, n = a.shape
+    total = n + m
+    c_ext = np.concatenate([lp.c, np.zeros(m)])
+    lower = np.concatenate([lp.lower, np.zeros(m)])
+    upper = np.concatenate([boxed_upper, np.full(m, np.inf)])
+    fixed = upper - lower <= _TOL
+    limit = (
+        int(max_iterations) if max_iterations is not None
+        else 200 + 50 * (m + n)
+    )
+
+    warm_used = False
+    basis: np.ndarray
+    vstat: np.ndarray
+    binv: Optional[np.ndarray] = None
+    restored = _restore_state(state, lp, n, m, upper)
+    if restored is not None:
+        basis, vstat, rhs_only = restored
+        binv = _basis_inverse(ac, basis, n, m)
+        if binv is not None:
+            warm_used = True
+            if not rhs_only:
+                # Objective changed: re-establish dual feasibility by
+                # flipping nonbasic variables onto the bound their new
+                # reduced cost prefers (a bound flip moves no basis).
+                y = c_ext[basis] @ binv
+                d = c_ext.copy()
+                d[:n] -= at @ y
+                d[n:] -= y
+                flip_up = (vstat == _AT_LOWER) & (d < -_TOL)
+                flip_down = (vstat == _AT_UPPER) & (d > _TOL)
+                if np.any(flip_up & ~np.isfinite(upper)) or np.any(
+                    flip_down & ~np.isfinite(lower)
+                ):
+                    binv = None
+                    warm_used = False
+                else:
+                    vstat[flip_up] = _AT_UPPER
+                    vstat[flip_down] = _AT_LOWER
+    if binv is None:
+        # Cold start: all-slack basis, nonbasics at their dual-feasible
+        # bound.  Boxing guarantees the c<0 variables have one.
+        basis = n + np.arange(m)
+        vstat = np.full(total, _AT_LOWER, dtype=int)
+        vstat[:n][(lp.c < 0) & np.isfinite(upper[:n])] = _AT_UPPER
+        vstat[basis] = _BASIC
+        binv = np.eye(m)
+        warm_used = False
+
+    iterations = 0
+    since_refactor = 0
+    alpha = np.empty(total)  # pivot-row scratch, reused every iteration
+    while True:
+        # Primal point at the current basis/statuses.
+        x = np.where(vstat == _AT_UPPER, upper, lower)
+        x[~np.isfinite(x)] = 0.0
+        x[basis] = 0.0
+        rhs_eff = lp.b_ub - a @ x[:n]
+        x[basis] = binv @ rhs_eff
+
+        viol_low = lower[basis] - x[basis]
+        viol_up = x[basis] - upper[basis]
+        viol = np.maximum(viol_low, viol_up)
+        worst = float(viol.max(initial=0.0))
+        if not np.isfinite(worst):
+            return Solution(
+                status=SolveStatus.NUMERICAL_ERROR,
+                message="non-finite basic solution",
+                iterations=iterations,
+                warm_start_used=warm_used,
+            )
+        if worst <= OPTIMALITY_TOL:
+            x_struct = x[:n].copy()
+            np.clip(x_struct, lp.lower, lp.upper, out=x_struct)
+            if not lp.is_feasible(x_struct, tol=FEASIBILITY_TOL):
+                return Solution(
+                    status=SolveStatus.NUMERICAL_ERROR,
+                    message="terminal point failed feasibility check",
+                    iterations=iterations,
+                    warm_start_used=warm_used,
+                )
+            y = c_ext[basis] @ binv
+            out_state = SolverState(
+                method="sparse",
+                signature=problem_signature(lp),
+                basis=basis.copy(),
+                slack=vstat.astype(float),
+                dual=lp.c.copy(),
+                point=x_struct.copy(),
+            )
+            # The duals certify the *boxed* problem.  They transfer to
+            # the original LP unless a structural variable ends nonbasic
+            # at an artificial box (original upper infinite) with a
+            # meaningfully negative reduced cost — the box is redundant
+            # for the feasible set (so x stays optimal), but its
+            # multiplier belongs to the rows implying the bound, and
+            # emitting it as-is would fail an independent reduced-cost
+            # certificate.  Degrade to primal-only in that case.
+            marginals: Optional[np.ndarray] = y.copy()
+            at_box = (
+                (vstat[:n] == _AT_UPPER) & ~np.isfinite(lp.upper)
+            )
+            if np.any(at_box):
+                d_box = lp.c[at_box] - (at @ y)[at_box]
+                tol_box = OPTIMALITY_TOL * max(
+                    1.0, float(np.abs(lp.c).max(initial=0.0))
+                )
+                if np.any(d_box < -tol_box):
+                    marginals = None
+            return Solution(
+                status=SolveStatus.OPTIMAL,
+                x=x_struct,
+                objective=float(lp.c @ x_struct),
+                iterations=iterations,
+                ineq_marginals=marginals,
+                state=out_state,
+                warm_start_used=warm_used,
+            )
+        if iterations >= limit:
+            return Solution(
+                status=SolveStatus.ITERATION_LIMIT,
+                message=f"dual simplex hit {limit} iterations",
+                iterations=iterations,
+                warm_start_used=warm_used,
+            )
+
+        i = int(np.argmax(viol))
+        below = viol_low[i] >= viol_up[i]
+        rho = binv[i]
+        alpha[:n] = at @ rho
+        alpha[n:] = rho
+        y = c_ext[basis] @ binv
+        d = c_ext.copy()
+        d[:n] -= at @ y
+        d[n:] -= y
+
+        abar = alpha if below else -alpha
+        eligible = ~fixed & (
+            ((vstat == _AT_LOWER) & (abar < -_TOL))
+            | ((vstat == _AT_UPPER) & (abar > _TOL))
+        )
+        eligible[basis] = False
+        if not np.any(eligible):
+            return Solution(
+                status=SolveStatus.INFEASIBLE,
+                message="dual simplex: no entering column (primal infeasible)",
+                iterations=iterations,
+                warm_start_used=warm_used,
+            )
+        idx = np.flatnonzero(eligible)
+        ratios = d[idx] / -abar[idx]
+        ratios = np.maximum(ratios, 0.0)  # clamp dual-feasibility roundoff
+        best = float(ratios.min())
+        near = idx[ratios <= best + _TOL]
+        q = int(near[np.argmax(np.abs(abar[near]))])
+
+        if q < n:
+            start, end = ac.indptr[q], ac.indptr[q + 1]
+            u = binv[:, ac.indices[start:end]] @ ac.data[start:end]
+        else:
+            u = binv[:, q - n].copy()
+        if abs(u[i]) < _PIVOT_TOL:
+            return Solution(
+                status=SolveStatus.NUMERICAL_ERROR,
+                message="vanishing pivot",
+                iterations=iterations,
+                warm_start_used=warm_used,
+            )
+        leaving = int(basis[i])
+        vstat[leaving] = _AT_LOWER if below else _AT_UPPER
+        vstat[q] = _BASIC
+        basis[i] = q
+        binv[i, :] /= u[i]
+        col = u.copy()
+        col[i] = 0.0
+        binv -= np.outer(col, binv[i])
+        iterations += 1
+        since_refactor += 1
+        if not np.all(np.isfinite(binv)):
+            # Sanitizer: the eta update blew up (overflow/NaN through a
+            # tiny pivot).  Refactorize from scratch immediately — the
+            # product-form error is discarded — and only give up when
+            # the basis itself is singular or non-finite.
+            _count(collector, "sparse.nonfinite_guard_trips")
+            fresh = _basis_inverse(ac, basis, n, m)
+            if fresh is None:
+                return Solution(
+                    status=SolveStatus.NUMERICAL_ERROR,
+                    message="non-finite basis inverse after eta update",
+                    iterations=iterations,
+                    warm_start_used=warm_used,
+                )
+            binv = fresh
+            since_refactor = 0
+        if since_refactor >= 100:
+            fresh = _basis_inverse(ac, basis, n, m)
+            if fresh is None:
+                return Solution(
+                    status=SolveStatus.NUMERICAL_ERROR,
+                    message="singular basis at refactorization",
+                    iterations=iterations,
+                    warm_start_used=warm_used,
+                )
+            if collector is not None and collector.enabled:
+                # Condition estimate at the refactorization point: the
+                # drifted eta-product inverse is being replaced anyway,
+                # so one extra norm is the cheapest honest health check.
+                cond = _basis_norm1(ac, basis, n) * float(
+                    np.abs(fresh).sum(axis=0).max(initial=0.0)
+                )
+                collector.observe("sparse.basis_condition", cond)
+                if cond > _CONDITION_LIMIT:
+                    collector.increment("sparse.ill_conditioned_bases")
+            binv = fresh
+            since_refactor = 0
+
+
+
+def _solve_sparse(
+    lp: LinearProgram,
+    state: Optional[SolverState],
+    collector: Optional[Collector],
+    max_iterations: Optional[int],
+) -> Solution:
+    """The parent's ``solve_sparse_lp``: one program, its own CSC."""
+    direct_ok = (
+        lp.a_ub is not None
+        and lp.a_eq is None
+        and lp.a_ub.shape[0] <= sparse_mod.SPARSE_DIRECT_ROW_LIMIT
+    )
+    boxed: Optional[np.ndarray] = None
+    if direct_ok:
+        bounds = ImpliedBounds.compile(lp.a_ub, lp.lower, lp.upper)
+        if bounds is not None and lp.b_ub is not None:
+            boxed = bounds.evaluate(lp.c, lp.b_ub)
+        if boxed is None:
+            _count(collector, "sparse.box_fallbacks")
+    if boxed is not None:
+        solution = _dual_simplex(
+            lp, boxed, state, max_iterations, collector=collector,
+        )
+        if solution.status is SolveStatus.OPTIMAL:
+            _count(
+                collector,
+                "sparse.warm_hits" if solution.warm_start_used
+                else "sparse.cold_solves",
+            )
+            _count(collector, "sparse.iterations", solution.iterations)
+            return solution
+        if solution.status is SolveStatus.ITERATION_LIMIT:
+            return solution
+        _count(collector, "sparse.highs_fallbacks")
+    return solve_lp(
+        lp, "highs", collector=collector, max_iterations=max_iterations
+    )
+
+
+def _reference_decomposed(lp, blocks, coupling, states, collector,
+                          max_iterations):
+    """The parent's ``solve_decomposed``: every block sliced and solved alone."""
+    block_states = (
+        list(states) if states is not None and len(states) == len(blocks)
+        else [None] * len(blocks)
+    )
+    results = [
+        _solve_sparse(LinearProgram(
+            c=lp.c[blk.var_idx],
+            a_ub=lp.a_ub[blk.row_idx][:, blk.var_idx],
+            b_ub=lp.b_ub[blk.row_idx],
+            lower=lp.lower[blk.var_idx],
+            upper=lp.upper[blk.var_idx],
+        ), state, collector, max_iterations)
+        for blk, state in zip(blocks, block_states)
+    ]
+    if any(not r.ok for r in results):
+        _count(collector, "sparse.block_failures")
+        return None
+    x = np.zeros(lp.num_variables)
+    for blk, res in zip(blocks, results):
+        x[blk.var_idx] = res.x
+    slack = lp.b_ub[coupling] - lp.a_ub[coupling] @ x
+    scale = np.maximum(1.0, np.abs(lp.b_ub[coupling]))
+    if np.any(slack < -ZERO_TOL * scale):
+        _count(collector, "sparse.coupling_rejects")
+        return None
+    _count(collector, "sparse.decomposed_solves")
+    return DecomposedSolution(
+        solution=Solution(
+            status=SolveStatus.OPTIMAL,
+            x=x,
+            objective=float(lp.c @ x),
+            iterations=sum(r.iterations for r in results),
+            warm_start_used=any(r.warm_start_used for r in results),
+            message=f"decomposed into {len(blocks)} blocks",
+        ),
+        states=[r.state for r in results],
+        num_blocks=len(blocks),
+    )
+
+
+def _same_bytes(got, ref):
+    if got is None or ref is None:
+        return got is None and ref is None
+    got, ref = np.asarray(got), np.asarray(ref)
+    return (got.dtype == ref.dtype and got.shape == ref.shape
+            and got.tobytes() == ref.tobytes())
+
+
+def _assert_same_state(got, ref):
+    assert (got is None) == (ref is None)
+    if got is None:
+        return
+    assert got.method == ref.method
+    assert tuple(got.signature) == tuple(ref.signature)
+    for name in ("basis", "slack", "dual", "point"):
+        assert _same_bytes(getattr(got, name), getattr(ref, name)), name
+
+
+def _assert_same_solution(got, ref):
+    assert got.status is ref.status
+    assert got.message == ref.message
+    assert got.iterations == ref.iterations
+    assert got.warm_start_used == ref.warm_start_used
+    assert _same_bytes(got.x, ref.x)
+    assert _same_bytes(got.objective, ref.objective)
+    assert _same_bytes(got.ineq_marginals, ref.ineq_marginals)
+    _assert_same_state(got.state, ref.state)
+
+
+def _sparse_counters(collector):
+    return {name: value for name, value in collector.counters.items()
+            if name.startswith("sparse.")}
+
+
+def _corrupt(token, kind, block_lp):
+    """``token`` made stale in one way the restart must reject."""
+    n, m = block_lp.num_variables, block_lp.a_ub.shape[0]
+    basis = np.asarray(token.basis).copy()
+    slack = np.asarray(token.slack).copy()
+    if kind == "method":
+        return replace(token, method="simplex")
+    if kind == "signature":
+        return replace(token, signature=(n + 1, m, 0))
+    if kind == "shape":
+        return replace(token, basis=np.append(basis, n))
+    if kind == "range":
+        basis[0] = n + m
+        return replace(token, basis=basis)
+    if kind == "unmarked":
+        # Still m statuses marked basic, but one basis entry is not.
+        nonbasic = np.flatnonzero(slack != _BASIC)[0]
+        slack[basis[0]] = _AT_LOWER
+        slack[nonbasic] = _BASIC
+        return replace(token, slack=slack)
+    assert kind == "singular"
+    # Slacks on every row but r0 plus a column that misses row r0:
+    # row r0 of the basis matrix is all zero.
+    dense = block_lp.a_ub.toarray()
+    j, r0 = np.argwhere(dense.T == 0.0)[0]
+    basis = n + np.arange(m)
+    basis[r0] = j
+    slack = np.full(n + m, float(_AT_LOWER))
+    slack[basis] = _BASIC
+    return replace(token, basis=basis, slack=slack)
+
+
+def _block_lp(lp, blk):
+    return LinearProgram(
+        c=lp.c[blk.var_idx], a_ub=lp.a_ub[blk.row_idx][:, blk.var_idx],
+        b_ub=lp.b_ub[blk.row_idx], lower=lp.lower[blk.var_idx],
+        upper=lp.upper[blk.var_idx],
+    )
+
+
+_BUDGETS = st.sampled_from([None, None, 0, 1])
+
+
+class TestStackedRestartMatchesOneProgramSimplex:
+    @given(pair=boxable_lp_pairs(), budget=_BUDGETS)
+    @settings(max_examples=80, deadline=None)
+    def test_joint_solve_is_a_stack_of_one(self, pair, budget):
+        first, second = pair
+        # Same c as the first program, the second's rhs: RHS-only.
+        rhs_only = LinearProgram(c=first.c, a_ub=first.a_ub,
+                                 b_ub=second.b_ub)
+        got_c, ref_c = InMemoryCollector(), InMemoryCollector()
+        got = solve_sparse_lp(first, collector=got_c, max_iterations=budget)
+        ref = _solve_sparse(first, None, ref_c, budget)
+        _assert_same_solution(got, ref)
+        token = _solve_sparse(first, None, None, None).state
+        for lp in (second, rhs_only):
+            got = solve_sparse_lp(lp, state=token, collector=got_c,
+                                  max_iterations=budget)
+            ref = _solve_sparse(lp, token, ref_c, budget)
+            _assert_same_solution(got, ref)
+        assert _sparse_counters(got_c) == _sparse_counters(ref_c)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_decomposed_blocks_match_alone(self, data):
+        topology = data.draw(random_topologies())
+        slots = data.draw(slot_sequences(topology, num_slots=4))
+        # One slot repeats the previous slot's prices: its blocks'
+        # objectives are unchanged and they restart RHS-only.
+        t = data.draw(st.integers(1, 3))
+        slots[t] = (slots[t][0], slots[t - 1][1])
+        budget = data.draw(_BUDGETS)
+        blocks, coupling = class_blocks(
+            topology.num_classes, topology.num_frontends,
+            topology.num_datacenters,
+        )
+        cache = FixedLevelLPCache(topology, sparse=True)
+        got_c, ref_c = InMemoryCollector(), InMemoryCollector()
+        compiled = got_states = ref_states = None
+        for t, (arrivals, prices) in enumerate(slots):
+            lp, _ = cache.build(SlotInputs(topology=topology,
+                                           arrivals=arrivals, prices=prices))
+            if compiled is None:
+                compiled = compile_decomposition(lp, blocks, coupling)
+            # The budget binds from slot 1 on, where blocks restart warm.
+            limit = budget if t else None
+            got = solve_decomposed(lp, compiled, states=got_states,
+                                   collector=got_c, max_iterations=limit)
+            ref = _reference_decomposed(lp, blocks, coupling, ref_states,
+                                        ref_c, limit)
+            assert (got is None) == (ref is None)
+            if got is None:
+                continue
+            _assert_same_solution(got.solution, ref.solution)
+            for got_state, ref_state in zip(got.states, ref.states):
+                _assert_same_state(got_state, ref_state)
+            got_states, ref_states = got.states, ref.states
+        assert _sparse_counters(got_c) == _sparse_counters(ref_c)
+
+    @given(data=st.data(),
+           kind=st.sampled_from(["method", "signature", "shape", "range",
+                                 "unmarked", "singular"]))
+    @settings(max_examples=60, deadline=None)
+    def test_stale_token_sends_only_its_block_cold(self, data, kind):
+        topology = data.draw(random_topologies())
+        slots = data.draw(slot_sequences(topology, num_slots=2))
+        blocks, coupling = class_blocks(
+            topology.num_classes, topology.num_frontends,
+            topology.num_datacenters,
+        )
+        cache = FixedLevelLPCache(topology, sparse=True)
+        first, _ = cache.build(SlotInputs(topology, *slots[0]))
+        lp, _ = cache.build(SlotInputs(topology, *slots[1]))
+        tokens = [
+            _solve_sparse(_block_lp(first, blk), None, None, None).state
+            for blk in blocks
+        ]
+        assume(all(token is not None for token in tokens))
+        stale = data.draw(st.integers(0, len(blocks) - 1))
+        states = list(tokens)
+        states[stale] = _corrupt(tokens[stale], kind,
+                                 _block_lp(lp, blocks[stale]))
+        compiled = compile_decomposition(lp, blocks, coupling)
+        c = lp.c[compiled.var_idx]
+        b_ub = lp.b_ub[compiled.row_idx]
+        clean = sparse_mod._restart(compiled.stack, c, b_ub, tokens, None)
+        assume(clean.warm[stale])
+        restart = sparse_mod._restart(compiled.stack, c, b_ub, states, None)
+        expected = clean.warm.copy()
+        expected[stale] = False
+        assert restart.warm.tolist() == expected.tolist()
+        got_c, ref_c = InMemoryCollector(), InMemoryCollector()
+        got = solve_decomposed(lp, compiled, states=states, collector=got_c)
+        ref = _reference_decomposed(lp, blocks, coupling, states, ref_c, None)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            _assert_same_solution(got.solution, ref.solution)
+            for got_state, ref_state in zip(got.states, ref.states):
+                _assert_same_state(got_state, ref_state)
+        assert _sparse_counters(got_c) == _sparse_counters(ref_c)
+
+    def test_at_upper_on_an_infinite_bound_sends_only_its_block_cold(self):
+        # Two blocks of one shape plus a coupling row.  In each block x2
+        # sits only in a mixed-sign row and costs >= 0: boxing leaves its
+        # upper bound infinite, so a token holding it at upper is stale.
+        block = np.array([[1.0, 1.0, 0.0],
+                          [1.0, -1.0, -1.0]])
+        a = np.zeros((5, 6))
+        a[0:2, 0:3] = block
+        a[2:4, 3:6] = block
+        a[4] = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        lp = LinearProgram(c=np.array([-1.0, -2.0, 0.5, -1.5, -1.0, 0.25]),
+                           a_ub=sparse.csr_matrix(a),
+                           b_ub=np.array([3.0, 1.0, 2.0, 1.0, 10.0]))
+        blocks = [BlockPlan(var_idx=np.arange(0, 3), row_idx=np.arange(0, 2)),
+                  BlockPlan(var_idx=np.arange(3, 6), row_idx=np.arange(2, 4))]
+        coupling = np.array([4])
+        compiled = compile_decomposition(lp, blocks, coupling)
+        first = solve_decomposed(lp, compiled)
+        assert first is not None
+        tokens = first.states
+        assert np.isinf(sparse_mod._restart(
+            compiled.stack, lp.c[compiled.var_idx], lp.b_ub[compiled.row_idx],
+            tokens, None,
+        ).upper[0, 2])
+        slack = np.asarray(tokens[0].slack).copy()
+        assert slack[2] == _AT_LOWER
+        slack[2] = _AT_UPPER
+        states = [replace(tokens[0], slack=slack), tokens[1]]
+        restart = sparse_mod._restart(
+            compiled.stack, lp.c[compiled.var_idx], lp.b_ub[compiled.row_idx],
+            states, None,
+        )
+        assert restart.warm.tolist() == [False, True]
+        got_c, ref_c = InMemoryCollector(), InMemoryCollector()
+        got = solve_decomposed(lp, compiled, states=states, collector=got_c)
+        ref = _reference_decomposed(lp, blocks, coupling, states, ref_c, None)
+        _assert_same_solution(got.solution, ref.solution)
+        assert _sparse_counters(got_c) == _sparse_counters(ref_c)
+        assert got_c.counters["sparse.warm_hits"] == 1
+        assert got_c.counters["sparse.cold_solves"] == 1

@@ -23,6 +23,7 @@ from repro.sim.failures import degraded_topology
 from repro.solvers.base import LinearProgram, SolveStatus
 from repro.solvers.linprog import solve_lp
 from repro.solvers.sparse import (
+    BlockPlan,
     ImpliedBounds,
     class_blocks,
     compile_decomposition,
@@ -271,6 +272,29 @@ class TestSparseDualSimplex:
         assert got.objective == pytest.approx(ref.objective, rel=1e-8)
         assert "sparse.cold_solves" not in collector.counters
 
+    def test_point_failing_terminal_check_goes_to_highs(self, monkeypatch):
+        # Shift every primal point the restart and the pivots compute
+        # off its rows: the terminal feasibility check must reject the
+        # clipped point and hand the program to HiGHS.
+        import repro.solvers.sparse as sparse_mod
+
+        points = sparse_mod._primal_points
+
+        def shifted(r, ks):
+            worst = points(r, ks)
+            r.x[ks, :r.stack.n] += 10.0
+            return worst
+
+        monkeypatch.setattr(sparse_mod, "_primal_points", shifted)
+        collector = InMemoryCollector()
+        lp = _random_boxable_lp(np.random.default_rng(13))
+        got = solve_sparse_lp(lp, collector=collector)
+        ref = solve_lp(lp, "highs").require_ok()
+        assert got.ok and got.state is None
+        assert got.objective == pytest.approx(ref.objective, rel=1e-8)
+        assert collector.counters["sparse.highs_fallbacks"] == 1
+        assert "sparse.cold_solves" not in collector.counters
+
     def test_infeasible_lp_detected(self):
         # x <= 1 but x >= 2 by bounds: infeasible however it is solved.
         lp = LinearProgram(
@@ -348,6 +372,48 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="partition"):
             compile_decomposition(lp, blocks[:1], coupling)
 
+    def test_equality_rows_are_rejected(self):
+        # x0 - x2 = 0 ties the blocks {0, 1} and {2, 3} together: solved
+        # block by block (x1 and x2 win their blocks) the point would be
+        # [0, 4, 4, 0], off the equality row by -4.
+        a_ub = sparse.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0],
+                                           [0.0, 0.0, 1.0, 1.0],
+                                           [1.0, 0.0, 1.0, 0.0]]))
+        lp = LinearProgram(
+            c=np.array([-1.0, -1.5, -2.0, -1.0]),
+            a_ub=a_ub, b_ub=np.array([4.0, 4.0, 8.0]),
+            a_eq=sparse.csr_matrix(np.array([[1.0, 0.0, -1.0, 0.0]])),
+            b_eq=np.array([0.0]),
+        )
+        blocks = [BlockPlan(var_idx=np.array([0, 1]), row_idx=np.array([0])),
+                  BlockPlan(var_idx=np.array([2, 3]), row_idx=np.array([1]))]
+        coupling = np.array([2])
+        with pytest.raises(ValueError, match="equality rows"):
+            compile_decomposition(lp, blocks, coupling)
+        # Compiled from the inequality rows alone, the split still never
+        # serves the program that has the equality row.
+        compiled = compile_decomposition(
+            LinearProgram(c=lp.c, a_ub=a_ub, b_ub=lp.b_ub), blocks, coupling
+        )
+        assert not compiled.matches(lp)
+        with pytest.raises(ValueError, match="compiled decomposition"):
+            solve_decomposed(lp, compiled)
+        ref = solve_lp(lp, "highs").require_ok()
+        assert np.allclose(ref.x, [4.0, 0.0, 4.0, 0.0])
+
+    def test_blocks_of_different_shapes_are_rejected(self):
+        lp = LinearProgram(
+            c=np.array([-1.0, -1.0, -1.0]),
+            a_ub=sparse.csr_matrix(np.array([[1.0, 1.0, 0.0],
+                                             [0.0, 0.0, 1.0],
+                                             [1.0, 0.0, 1.0]])),
+            b_ub=np.array([1.0, 1.0, 2.0]),
+        )
+        blocks = [BlockPlan(var_idx=np.array([0, 1]), row_idx=np.array([0])),
+                  BlockPlan(var_idx=np.array([2]), row_idx=np.array([1]))]
+        with pytest.raises(ValueError, match="one .rows, columns. shape"):
+            compile_decomposition(lp, blocks, np.array([2]))
+
     @pytest.mark.parametrize("other", [
         {"mu": 4000.0},          # another constraint matrix
         {"servers": (4, 2)},     # same matrix, other share bounds
@@ -401,6 +467,47 @@ class TestCompiledSlotPath:
             opt.plan_slot(arrivals, prices, slot_duration=duration)
             assert opt.last_stats.fallback_level == 0
         assert counts == {"slices": 0, "constructions": 0}
+
+    def test_warm_slot_factors_once_and_builds_no_program(
+        self, monkeypatch
+    ):
+        # A warm slot restarts all its blocks in one stacked pass: one
+        # np.linalg.inv for every block's basis, and no per-block
+        # LinearProgram (only a HiGHS fallback would build one).
+        import repro.core.optimizer as optimizer_mod
+
+        counts = {"inv": 0, "programs": 0}
+        inside = [False]
+        inv, post_init = np.linalg.inv, LinearProgram.__post_init__
+        solve = optimizer_mod.solve_decomposed
+
+        def counted_inv(*args, **kwargs):
+            counts["inv"] += inside[0]
+            return inv(*args, **kwargs)
+
+        def counted_post_init(self):
+            counts["programs"] += inside[0]
+            post_init(self)
+
+        def traced_solve(*args, **kwargs):
+            inside[0] = True
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        monkeypatch.setattr(LinearProgram, "__post_init__", counted_post_init)
+        monkeypatch.setattr(optimizer_mod, "solve_decomposed", traced_solve)
+        topo, slots, duration = _section6_day_10x()
+        opt = ProfitAwareOptimizer(topo, config=OptimizerConfig(sparse=True))
+        opt.plan_slot(*slots[0], slot_duration=duration)
+        for arrivals, prices in slots[1:]:
+            counts.update(inv=0, programs=0)
+            opt.plan_slot(arrivals, prices, slot_duration=duration)
+            assert opt.last_stats.warm_start == "hit"
+            assert opt.last_stats.phase_times["solve"] == 0.0
+            assert counts == {"inv": 1, "programs": 0}
 
     def test_compiled_blocks_pivot_like_freshly_sliced_ones(self):
         # Reference: slice each block per slot and let solve_sparse_lp
@@ -486,7 +593,7 @@ class TestBlockFailureAttribution:
         def boom(*args):
             raise FloatingPointError("synthetic block crash")
 
-        monkeypatch.setattr(sparse_mod, "_solve_block", boom)
+        monkeypatch.setattr(sparse_mod, "_finish_block", boom)
         with pytest.raises(
             WorkerError,
             match=r"block\[class=0\]: FloatingPointError",
@@ -501,9 +608,24 @@ class TestBlockFailureAttribution:
         def boom(*args):
             raise FloatingPointError("synthetic block crash")
 
-        monkeypatch.setattr(sparse_mod, "_solve_block", boom)
+        monkeypatch.setattr(sparse_mod, "_finish_block", boom)
         lp, compiled = self._decomposable()
         with pytest.raises(WorkerError) as excinfo:
+            solve_decomposed(lp, compiled)
+        assert isinstance(excinfo.value.__cause__, FloatingPointError)
+
+    def test_stacked_pass_crash_names_every_class(self, monkeypatch):
+        from repro.sim.parallel import WorkerError
+        from repro.solvers import sparse as sparse_mod
+
+        def boom(*args):
+            raise FloatingPointError("synthetic pass crash")
+
+        monkeypatch.setattr(sparse_mod, "_restart", boom)
+        lp, compiled = self._decomposable()
+        with pytest.raises(
+            WorkerError, match=r"block\[class=0,1\]: FloatingPointError"
+        ) as excinfo:
             solve_decomposed(lp, compiled)
         assert isinstance(excinfo.value.__cause__, FloatingPointError)
 
