@@ -191,7 +191,8 @@ def _certify_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--sparse", action="store_true",
-        help="route slot LPs through the sparse/decomposed path",
+        help="route slot LPs through the sparse path (one compiled "
+        "program, warm-restarted every slot)",
     )
     _add_format(parser)
     _add_out(parser)

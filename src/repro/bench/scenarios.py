@@ -12,7 +12,7 @@ Six tracked scenarios, each emitting one ``BENCH_<name>.json``:
   periodic-streaming-equals-slotted equivalence check;
 * ``fleet_10x``     — the same day on a 10× fleet (180 servers);
 * ``fleet_100x``    — the same day on a 100× fleet (1800 servers),
-  tracking the production sparse/decomposed path at ROADMAP scale; both
+  tracking the production sparse path at ROADMAP scale; both
   fleet scenarios also time a per-server plan loop dense vs sparse and
   record the symmetry-collapse win as the ``sparse_speedup`` ratio;
 * ``warm_vs_cold``  — the Fig. 11-setup §VII slot pipeline solved cold
@@ -188,8 +188,8 @@ def _slot_pipeline_scenario(
     """§VI day at ``multiplier``× fleet size through ``run_simulation``.
 
     With ``sparse_ratio`` (the fleet scenarios) the main timed run uses
-    the production sparse/decomposed solve path — so ``per_phase_s``
-    records the new build/decompose/solve/expand stage split — and a
+    the production sparse solve path — so ``per_phase_s`` records its
+    build/solve/expand stage split — and a
     second measurement times a **per-server** plan loop dense vs sparse,
     where symmetry collapse makes thousand-server fleets tractable.
     That win lands in ``ratios.sparse_speedup`` and the dense-vs-sparse
@@ -483,7 +483,7 @@ def _streaming_ingest(request: ScenarioRequest) -> ScenarioResult:
 
 @register_scenario(
     "fleet_10x",
-    "§VI day on a 10x fleet (180 servers), sparse/decomposed path, plus "
+    "§VI day on a 10x fleet (180 servers), sparse path, plus "
     "the per-server dense-vs-sparse sparse_speedup ratio",
 )
 def _fleet_10x(request: ScenarioRequest) -> ScenarioResult:
@@ -494,7 +494,7 @@ def _fleet_10x(request: ScenarioRequest) -> ScenarioResult:
 
 @register_scenario(
     "fleet_100x",
-    "§VI day on a 100x fleet (1800 servers), sparse/decomposed path, "
+    "§VI day on a 100x fleet (1800 servers), sparse path, "
     "plus the per-server dense-vs-sparse sparse_speedup ratio",
 )
 def _fleet_100x(request: ScenarioRequest) -> ScenarioResult:

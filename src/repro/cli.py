@@ -10,9 +10,9 @@ Commands:
 * ``sweep [--servers 2,4,6,...]`` — capacity sweep on the §VII workload;
 * ``trace [--out traces.jsonl] [--sparse]`` — run a scenario with
   telemetry on and dump per-slot :class:`~repro.obs.trace.SlotTrace`
-  records as JSONL (``--sparse`` routes slot LPs through the
-  sparse/decomposed path, whose phases split into decompose, solve and
-  expand);
+  records as JSONL (``--sparse`` routes slot LPs through the sparse
+  path, one compiled program warm-restarted every slot, whose phases
+  split into build, solve and expand);
 * ``stream [--policy periodic|drift|margin]`` — the sub-slot streaming
   control plane (:mod:`repro.stream`); re-plans on drift/margin decay
   instead of the wall clock;
@@ -316,8 +316,9 @@ def _configure_trace(parser: argparse.ArgumentParser) -> None:
                              "tiny value forces failures so the fallback "
                              "chain shows up in the traces")
     parser.add_argument("--sparse", action="store_true",
-                        help="route slot LPs through the sparse/decomposed "
-                             "path (phases decompose/solve/expand)")
+                        help="route slot LPs through the sparse path: one "
+                             "compiled program, warm-restarted every slot "
+                             "(phases build/solve/expand)")
 
 
 @register_subcommand(

@@ -61,12 +61,13 @@ class OptimizerConfig:
     warm_start:
         Reuse formulation caches and solver state across slots.
     sparse:
-        Route fixed-level slot LPs through the sparse/decomposed solve
-        path (:mod:`repro.solvers.sparse`): CSR constraint matrices,
+        Route fixed-level slot LPs through the sparse solve path
+        (:mod:`repro.solvers.sparse`): CSR constraint matrices,
         symmetry collapse of identical servers (per-server plans are
         solved on the aggregated formulation and expanded afterwards),
-        per-class block decomposition, and a dual-simplex RHS-only
-        re-solve for slot-to-slot price/arrival changes.  Produces the
+        and one slot LP compiled once and solved every slot by a
+        dual-simplex warm restart from the previous slot's basis
+        (RHS-only when only arrivals changed).  Produces the
         same plans and objectives as the dense path (pinned at 1e-6 in
         the property suite); MILP/big-M/greedy level methods and the
         fallback chain's alternate backends keep using the dense

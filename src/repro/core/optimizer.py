@@ -55,13 +55,7 @@ from repro.solvers.base import (
 from repro.solvers.branch_bound import solve_milp
 from repro.solvers.levels import coordinate_descent_levels
 from repro.solvers.linprog import solve_lp
-from repro.solvers.sparse import (
-    CompiledDecomposition,
-    class_blocks,
-    compile_decomposition,
-    solve_decomposed,
-    solve_sparse_lp,
-)
+from repro.solvers.sparse import SparseProgram
 from repro.solvers.tolerances import ZERO_TOL
 
 __all__ = ["OptimizerConfig", "ProfitAwareOptimizer"]
@@ -157,12 +151,11 @@ class ProfitAwareOptimizer:
         self._lp_cache: Optional[FixedLevelLPCache] = None
         self._milp_cache: Optional[MultilevelMILPCache] = None
         # Sparse solve path (config.sparse): CSR aggregated cache — the
-        # symmetry collapse of identical servers — plus the per-class
-        # block decomposition compiled from it and its warm-start states.
+        # symmetry collapse of identical servers — plus the program
+        # compiled from it and its warm-start state.
         self._sparse_cache: Optional[FixedLevelLPCache] = None
-        self._sparse_decomposition: Optional[CompiledDecomposition] = None
-        self._sparse_block_states: Optional[List[Optional[SolverState]]] = None
-        self._sparse_joint_state: Optional[SolverState] = None
+        self._sparse_program: Optional[SparseProgram] = None
+        self._sparse_state: Optional[SolverState] = None
         self._exploded_topology: Optional[CloudTopology] = None
         # Last-resort fallback dispatcher (built lazily, topology-static).
         self._baseline: Optional[BalancedDispatcher] = None
@@ -293,7 +286,7 @@ class ProfitAwareOptimizer:
         """Run the optimality certifier per ``config.certify``.
 
         ``payload`` is the winning solve stage's ``{"problem",
-        "solution", "plan", "coupling_rows"?}`` capture (stages that
+        "solution", "plan"}`` capture (stages that
         produce no certifiable LP — big-M, the balanced baseline —
         return ``None``, which counts as a skip).  Returns the findings
         as plain dicts (for the slot trace); raises :class:`SolverError`
@@ -314,7 +307,6 @@ class ProfitAwareOptimizer:
             payload["solution"],
             inputs=inputs,
             plan=payload.get("plan"),
-            coupling_rows=payload.get("coupling_rows"),
         )
         if collector.enabled:
             collector.increment("optimizer.certifies")
@@ -468,8 +460,7 @@ class ProfitAwareOptimizer:
         cause of a failed solve) without rewinding the trace counter."""
         self._lp_state = None
         self._milp_state = None
-        self._sparse_block_states = None
-        self._sparse_joint_state = None
+        self._sparse_state = None
         self._greedy_lp_states.clear()
         self._greedy_last_state = None
         self._greedy_levels = None
@@ -543,7 +534,7 @@ class ProfitAwareOptimizer:
     ) -> _StageResult:
         # A fallback stage re-solving with an alternate backend neither
         # consumes nor overwrites the primary backend's warm state.
-        # The sparse/decomposed path serves only the primary stage:
+        # The sparse path serves only the primary stage:
         # fallback stages name their backend explicitly and stay dense,
         # so they remain independent implementations.
         config = self.config
@@ -580,81 +571,52 @@ class ProfitAwareOptimizer:
         inputs: SlotInputs,
         max_iterations: Optional[int] = None,
     ) -> _StageResult:
-        """Sparse/decomposed slot solve (``config.sparse``).
+        """Sparse slot solve (``config.sparse``).
 
         Always formulates on the **aggregated** CSR cache — for
         ``formulation="per_server"`` this *is* the symmetry collapse:
         identical servers within a data center become one aggregate
         share variable, and the decoder expands the solution back to a
         per-server plan (exact for homogeneous servers, see
-        ``fixed_level_lp``).  The per-class block decomposition — compiled
-        once, on the first sparse slot — is tried first (independent
-        blocks, all restarted in one stacked pass, each from its own
-        state); when a coupling row binds, the joint LP is solved by the
-        bounded dual simplex with an RHS-only warm re-solve.
+        ``fixed_level_lp``).  The slot LP is compiled once, on the first
+        sparse slot, into a :class:`~repro.solvers.sparse.SparseProgram`;
+        every slot is a warm restart of that program from the previous
+        slot's state.
 
         Stage timings are reported disjointly so the slot trace shows
         where the time went: ``build`` (or ``collapse`` under
-        per-server), ``decompose`` (the gather of ``c``/``b_ub``, the
-        stacked restart, per-block pivots and the coupling check; the
-        first slot's also holds the one-time compile), ``solve`` (joint
-        solve — zero when decomposition succeeded), and ``expand``
-        (decode back to a per-server plan).
+        per-server), ``solve`` (the restart and its pivots; the first
+        slot's also holds the one-time compile), and ``expand`` (decode
+        back to a per-server plan).
         """
         config = self.config
-        use_warm = config.warm_start
         t0 = time.perf_counter()
         if self._sparse_cache is None:
             self._sparse_cache = FixedLevelLPCache(self.topology, sparse=True)
         lp, decoder = self._sparse_cache.build(inputs)
         t1 = time.perf_counter()
-        topo = self.topology
-        K, S, L = topo.num_classes, topo.num_frontends, topo.num_datacenters
-        if self._sparse_decomposition is None:
-            self._sparse_decomposition = compile_decomposition(
-                lp, *class_blocks(K, S, L)
-            )
-        warm_offered = use_warm and (
-            self._sparse_block_states is not None
-            or self._sparse_joint_state is not None
-        )
-        decomposed = solve_decomposed(
-            lp, self._sparse_decomposition,
-            states=self._sparse_block_states if use_warm else None,
-            collector=self.collector,
+        if self._sparse_program is None:
+            self._sparse_program = SparseProgram.compile(lp)
+        state = self._sparse_state if config.warm_start else None
+        solution = self._sparse_program.solve(
+            lp, state=state, collector=self.collector,
             max_iterations=max_iterations,
         )
-        t2 = time.perf_counter()
-        if decomposed is not None:
-            solution = decomposed.solution
-            if use_warm:
-                self._sparse_block_states = decomposed.states
-            joint_time = 0.0
-        else:
-            solution = solve_sparse_lp(
-                lp,
-                state=self._sparse_joint_state if use_warm else None,
-                collector=self.collector,
-                max_iterations=max_iterations,
-            )
-            joint_time = time.perf_counter() - t2
-            if use_warm:
-                self._sparse_joint_state = (
-                    solution.state if solution.ok else None
-                )
+        if config.warm_start:
+            self._sparse_state = solution.state if solution.ok else None
         if not solution.ok:
             raise SolverError(
                 f"slot LP failed: {solution.status.value} {solution.message}"
             )
-        t3 = time.perf_counter()
+        t2 = time.perf_counter()
         plan = decoder(solution.x)
-        expand_time = time.perf_counter() - t3
-        fields = self._solved(lp, solution, warm_offered, build=t1 - t0,
-                              solve=joint_time, decompose=t2 - t1,
-                              expand=expand_time)
+        fields = self._solved(lp, solution, state is not None, build=t1 - t0,
+                              solve=t2 - t1, expand=time.perf_counter() - t2)
         if config.formulation == "per_server":
             fields["phase_times"].update(build=0.0, collapse=t1 - t0)
         # Integer server counts implied by the aggregate share mass.
+        topo = self.topology
+        K, S, L = topo.num_classes, topo.num_frontends, topo.num_datacenters
         n_lam = K * S * L
         dc_shares = solution.x[n_lam:n_lam + K * L].reshape(K, L).sum(axis=0)
         fields["active_servers"] = int(
@@ -662,10 +624,7 @@ class ProfitAwareOptimizer:
         )
         payload = None
         if config.certify != "off":
-            payload = {
-                "problem": lp, "solution": solution, "plan": plan,
-                "coupling_rows": self._sparse_decomposition.coupling_rows,
-            }
+            payload = {"problem": lp, "solution": solution, "plan": plan}
         return plan, fields, payload
 
     def _build_milp(

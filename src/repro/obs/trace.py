@@ -41,10 +41,10 @@ class SlotTrace:
     """One slot solve, fully described.
 
     ``phase_times`` maps phase names (``"build"``, ``"solve"``,
-    ``"postprocess"``, plus ``"collapse"``, ``"decompose"`` and
-    ``"expand"`` on the sparse path) to wall seconds; the phases are
-    disjoint, so their sum is at most ``total_time``, which covers the
-    whole ``plan_slot`` call.
+    ``"postprocess"``, plus ``"collapse"`` and ``"expand"`` on the
+    sparse path) to wall seconds; the phases are disjoint, so their sum
+    is at most ``total_time``, which covers the whole ``plan_slot``
+    call.
     ``residuals`` carries the constraint-violation magnitudes of the
     returned solution in the solved problem's space (see
     ``LinearProgram.residuals``); empty when telemetry is off and for

@@ -47,23 +47,8 @@ from repro.workload.traces import WorkloadTrace
 
 __all__ = [
     "DispatcherSpec",
-    "WorkerError",
     "parallel_run_simulation",
 ]
-
-
-class WorkerError(RuntimeError):
-    """A decomposed sparse block solve failed.
-
-    Raised by :func:`repro.solvers.sparse.solve_decomposed`: the message
-    leads with the block's label (``block[class=2]``) followed by the
-    original exception's type and text, so a crash deep inside one
-    block solve names the block that died.  A crash in the stacked
-    restart that serves every block at once names all of them
-    (``block[class=0,1,2]``).  The original exception is chained as
-    ``__cause__``.
-    """
-
 
 _KINDS = {
     "optimized": ProfitAwareOptimizer,

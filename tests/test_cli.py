@@ -141,7 +141,8 @@ class TestCommands:
         traces = read_traces(out)
         assert [t.slot for t in traces] == [0, 1, 2]
         for t in traces:
-            assert {"decompose", "solve", "expand"} <= set(t.phase_times)
+            assert {"solve", "expand"} <= set(t.phase_times)
+            assert "decompose" not in t.phase_times
             assert t.fallback == 0
 
     def test_trace_parallel_merges(self, capsys):

@@ -3,11 +3,12 @@
 Randomized counterpart of ``test_sparse_solver.py``, in the style of
 ``test_property_warmstart.py``: across random topologies, slot
 sequences, and synthetic LPs, the sparse path (CSR formulation, direct
-dual simplex, decomposition, optimizer wiring) must reproduce the dense
-path's objectives and plans to 1e-6 relative tolerance — warm and cold,
-with and without presolve.  ``TestStackedRestartMatchesOneProgramSimplex``
-pins the stacked warm restart bit for bit to the one-program dual
-simplex it replaced, kept below as the reference.
+dual simplex, compiled program, optimizer wiring) must reproduce the
+dense path's objectives and plans to 1e-6 relative tolerance — warm and
+cold, with and without presolve.
+``TestStackedRestartMatchesOneProgramSimplex`` pins the compiled
+program's warm restart bit for bit to a one-program reference dual
+simplex kept below.
 """
 
 from dataclasses import replace
@@ -40,12 +41,8 @@ from repro.solvers.base import (
 from repro.solvers.linprog import solve_lp
 from repro.solvers.presolve import presolve
 from repro.solvers.sparse import (
-    BlockPlan,
-    DecomposedSolution,
     ImpliedBounds,
-    class_blocks,
-    compile_decomposition,
-    solve_decomposed,
+    SparseProgram,
     solve_sparse_lp,
 )
 from repro.solvers.tolerances import (
@@ -219,31 +216,28 @@ class TestSparseSolverEquivalence:
             certify(result.reduced, inner)
 
 
-class TestDecompositionEquivalence:
+class TestCompiledProgramEquivalence:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_accepted_decomposition_is_optimal(self, data, certify):
+    def test_compiled_slot_sequence_is_optimal(self, data, certify):
+        # One program compiled from the first slot LP solves every slot,
+        # each restarted from the previous slot's token.
         topology = data.draw(random_topologies())
-        slots = data.draw(slot_sequences(topology))
-        K, S, L = (topology.num_classes, topology.num_frontends,
-                   topology.num_datacenters)
-        blocks, coupling = class_blocks(K, S, L)
+        slots = data.draw(slot_sequences(topology, num_slots=3))
         cache = FixedLevelLPCache(topology, sparse=True)
-        states = compiled = None
+        state = program = None
         for arrivals, prices in slots:
             inputs = SlotInputs(topology=topology, arrivals=arrivals,
                                 prices=prices)
             lp, _ = cache.build(inputs)
-            if compiled is None:
-                compiled = compile_decomposition(lp, blocks, coupling)
-            result = solve_decomposed(lp, compiled, states=states)
+            if program is None:
+                program = SparseProgram.compile(lp)
+            solution = program.solve(lp, state=state).require_ok()
             ref = solve_lp(lp, "highs").require_ok()
-            if result is None:
-                continue  # coupling bound; the caller joint-solves
-            states = result.states
-            assert _close(result.solution.objective, ref.objective)
-            assert lp.is_feasible(result.solution.x, tol=1e-6)
-            certify(lp, result.solution, coupling_rows=coupling)
+            state = solution.state
+            assert _close(solution.objective, ref.objective)
+            assert lp.is_feasible(solution.x, tol=1e-6)
+            certify(lp, solution)
 
 
 class TestOptimizerSparseEquivalence:
@@ -296,15 +290,15 @@ class TestOptimizerSparseEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Bit-for-bit pin of the stacked restart
+# Bit-for-bit pin of the compiled program's restart
 # ---------------------------------------------------------------------------
 #
-# The reference below is the one-program dual simplex the stacked restart
-# replaced: it restores one token, inverts one basis column by column,
+# The reference below is a one-program dual simplex that compiles
+# nothing: it restores one token, inverts one basis column by column,
 # flips, pivots and checks its own terminal point.  Every solve of the
 # sparse module must reproduce it byte for byte — points, statuses,
-# iterations, warm flags, every token field, joint duals — and count the
-# same ``sparse.*`` counters.
+# iterations, warm flags, every token field, duals — and count the same
+# ``sparse.*`` counters.
 
 _TOL = ZERO_TOL
 _PIVOT_TOL = PIVOT_TOL
@@ -689,49 +683,6 @@ def _solve_sparse(
     )
 
 
-def _reference_decomposed(lp, blocks, coupling, states, collector,
-                          max_iterations):
-    """The parent's ``solve_decomposed``: every block sliced and solved alone."""
-    block_states = (
-        list(states) if states is not None and len(states) == len(blocks)
-        else [None] * len(blocks)
-    )
-    results = [
-        _solve_sparse(LinearProgram(
-            c=lp.c[blk.var_idx],
-            a_ub=lp.a_ub[blk.row_idx][:, blk.var_idx],
-            b_ub=lp.b_ub[blk.row_idx],
-            lower=lp.lower[blk.var_idx],
-            upper=lp.upper[blk.var_idx],
-        ), state, collector, max_iterations)
-        for blk, state in zip(blocks, block_states)
-    ]
-    if any(not r.ok for r in results):
-        _count(collector, "sparse.block_failures")
-        return None
-    x = np.zeros(lp.num_variables)
-    for blk, res in zip(blocks, results):
-        x[blk.var_idx] = res.x
-    slack = lp.b_ub[coupling] - lp.a_ub[coupling] @ x
-    scale = np.maximum(1.0, np.abs(lp.b_ub[coupling]))
-    if np.any(slack < -ZERO_TOL * scale):
-        _count(collector, "sparse.coupling_rejects")
-        return None
-    _count(collector, "sparse.decomposed_solves")
-    return DecomposedSolution(
-        solution=Solution(
-            status=SolveStatus.OPTIMAL,
-            x=x,
-            objective=float(lp.c @ x),
-            iterations=sum(r.iterations for r in results),
-            warm_start_used=any(r.warm_start_used for r in results),
-            message=f"decomposed into {len(blocks)} blocks",
-        ),
-        states=[r.state for r in results],
-        num_blocks=len(blocks),
-    )
-
-
 def _same_bytes(got, ref):
     if got is None or ref is None:
         return got is None and ref is None
@@ -766,9 +717,9 @@ def _sparse_counters(collector):
             if name.startswith("sparse.")}
 
 
-def _corrupt(token, kind, block_lp):
+def _corrupt(token, kind, lp):
     """``token`` made stale in one way the restart must reject."""
-    n, m = block_lp.num_variables, block_lp.a_ub.shape[0]
+    n, m = lp.num_variables, lp.a_ub.shape[0]
     basis = np.asarray(token.basis).copy()
     slack = np.asarray(token.slack).copy()
     if kind == "method":
@@ -789,21 +740,13 @@ def _corrupt(token, kind, block_lp):
     assert kind == "singular"
     # Slacks on every row but r0 plus a column that misses row r0:
     # row r0 of the basis matrix is all zero.
-    dense = block_lp.a_ub.toarray()
+    dense = lp.a_ub.toarray()
     j, r0 = np.argwhere(dense.T == 0.0)[0]
     basis = n + np.arange(m)
     basis[r0] = j
     slack = np.full(n + m, float(_AT_LOWER))
     slack[basis] = _BASIC
     return replace(token, basis=basis, slack=slack)
-
-
-def _block_lp(lp, blk):
-    return LinearProgram(
-        c=lp.c[blk.var_idx], a_ub=lp.a_ub[blk.row_idx][:, blk.var_idx],
-        b_ub=lp.b_ub[blk.row_idx], lower=lp.lower[blk.var_idx],
-        upper=lp.upper[blk.var_idx],
-    )
 
 
 _BUDGETS = st.sampled_from([None, None, 0, 1])
@@ -831,120 +774,82 @@ class TestStackedRestartMatchesOneProgramSimplex:
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_decomposed_blocks_match_alone(self, data):
+    def test_compiled_slot_sequence_matches_alone(self, data):
         topology = data.draw(random_topologies())
         slots = data.draw(slot_sequences(topology, num_slots=4))
-        # One slot repeats the previous slot's prices: its blocks'
-        # objectives are unchanged and they restart RHS-only.
+        # One slot repeats the previous slot's prices: its objective is
+        # unchanged and the program restarts RHS-only.
         t = data.draw(st.integers(1, 3))
         slots[t] = (slots[t][0], slots[t - 1][1])
         budget = data.draw(_BUDGETS)
-        blocks, coupling = class_blocks(
-            topology.num_classes, topology.num_frontends,
-            topology.num_datacenters,
-        )
         cache = FixedLevelLPCache(topology, sparse=True)
         got_c, ref_c = InMemoryCollector(), InMemoryCollector()
-        compiled = got_states = ref_states = None
+        program = got_state = ref_state = None
         for t, (arrivals, prices) in enumerate(slots):
             lp, _ = cache.build(SlotInputs(topology=topology,
                                            arrivals=arrivals, prices=prices))
-            if compiled is None:
-                compiled = compile_decomposition(lp, blocks, coupling)
-            # The budget binds from slot 1 on, where blocks restart warm.
+            if program is None:
+                program = SparseProgram.compile(lp)
+            # The budget binds from slot 1 on, where the program restarts
+            # warm.
             limit = budget if t else None
-            got = solve_decomposed(lp, compiled, states=got_states,
-                                   collector=got_c, max_iterations=limit)
-            ref = _reference_decomposed(lp, blocks, coupling, ref_states,
-                                        ref_c, limit)
-            assert (got is None) == (ref is None)
-            if got is None:
-                continue
-            _assert_same_solution(got.solution, ref.solution)
-            for got_state, ref_state in zip(got.states, ref.states):
-                _assert_same_state(got_state, ref_state)
-            got_states, ref_states = got.states, ref.states
+            got = program.solve(lp, state=got_state, collector=got_c,
+                                max_iterations=limit)
+            ref = _solve_sparse(lp, ref_state, ref_c, limit)
+            _assert_same_solution(got, ref)
+            got_state = got.state if got.ok else None
+            ref_state = ref.state if ref.ok else None
         assert _sparse_counters(got_c) == _sparse_counters(ref_c)
 
     @given(data=st.data(),
            kind=st.sampled_from(["method", "signature", "shape", "range",
                                  "unmarked", "singular"]))
     @settings(max_examples=60, deadline=None)
-    def test_stale_token_sends_only_its_block_cold(self, data, kind):
+    def test_stale_token_starts_cold(self, data, kind):
         topology = data.draw(random_topologies())
         slots = data.draw(slot_sequences(topology, num_slots=2))
-        blocks, coupling = class_blocks(
-            topology.num_classes, topology.num_frontends,
-            topology.num_datacenters,
-        )
         cache = FixedLevelLPCache(topology, sparse=True)
         first, _ = cache.build(SlotInputs(topology, *slots[0]))
+        token = _solve_sparse(first, None, None, None).state
+        assume(token is not None)
         lp, _ = cache.build(SlotInputs(topology, *slots[1]))
-        tokens = [
-            _solve_sparse(_block_lp(first, blk), None, None, None).state
-            for blk in blocks
-        ]
-        assume(all(token is not None for token in tokens))
-        stale = data.draw(st.integers(0, len(blocks) - 1))
-        states = list(tokens)
-        states[stale] = _corrupt(tokens[stale], kind,
-                                 _block_lp(lp, blocks[stale]))
-        compiled = compile_decomposition(lp, blocks, coupling)
-        c = lp.c[compiled.var_idx]
-        b_ub = lp.b_ub[compiled.row_idx]
-        clean = sparse_mod._restart(compiled.stack, c, b_ub, tokens, None)
-        assume(clean.warm[stale])
-        restart = sparse_mod._restart(compiled.stack, c, b_ub, states, None)
-        expected = clean.warm.copy()
-        expected[stale] = False
-        assert restart.warm.tolist() == expected.tolist()
+        stale = _corrupt(token, kind, lp)
+        program = SparseProgram.compile(lp)
+        clean = sparse_mod._restart(program, lp.c, lp.b_ub, token, None)
+        assume(clean is not None and clean.warm)
+        restart = sparse_mod._restart(program, lp.c, lp.b_ub, stale, None)
+        assert not restart.warm
         got_c, ref_c = InMemoryCollector(), InMemoryCollector()
-        got = solve_decomposed(lp, compiled, states=states, collector=got_c)
-        ref = _reference_decomposed(lp, blocks, coupling, states, ref_c, None)
-        assert (got is None) == (ref is None)
-        if got is not None:
-            _assert_same_solution(got.solution, ref.solution)
-            for got_state, ref_state in zip(got.states, ref.states):
-                _assert_same_state(got_state, ref_state)
+        got = program.solve(lp, state=stale, collector=got_c)
+        ref = _solve_sparse(lp, stale, ref_c, None)
+        _assert_same_solution(got, ref)
         assert _sparse_counters(got_c) == _sparse_counters(ref_c)
 
-    def test_at_upper_on_an_infinite_bound_sends_only_its_block_cold(self):
-        # Two blocks of one shape plus a coupling row.  In each block x2
-        # sits only in a mixed-sign row and costs >= 0: boxing leaves its
-        # upper bound infinite, so a token holding it at upper is stale.
-        block = np.array([[1.0, 1.0, 0.0],
-                          [1.0, -1.0, -1.0]])
-        a = np.zeros((5, 6))
-        a[0:2, 0:3] = block
-        a[2:4, 3:6] = block
-        a[4] = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
-        lp = LinearProgram(c=np.array([-1.0, -2.0, 0.5, -1.5, -1.0, 0.25]),
-                           a_ub=sparse.csr_matrix(a),
-                           b_ub=np.array([3.0, 1.0, 2.0, 1.0, 10.0]))
-        blocks = [BlockPlan(var_idx=np.arange(0, 3), row_idx=np.arange(0, 2)),
-                  BlockPlan(var_idx=np.arange(3, 6), row_idx=np.arange(2, 4))]
-        coupling = np.array([4])
-        compiled = compile_decomposition(lp, blocks, coupling)
-        first = solve_decomposed(lp, compiled)
-        assert first is not None
-        tokens = first.states
-        assert np.isinf(sparse_mod._restart(
-            compiled.stack, lp.c[compiled.var_idx], lp.b_ub[compiled.row_idx],
-            tokens, None,
-        ).upper[0, 2])
-        slack = np.asarray(tokens[0].slack).copy()
+    def test_at_upper_on_an_infinite_bound_starts_cold(self):
+        # x2 sits only in a mixed-sign row and costs >= 0: boxing leaves
+        # its upper bound infinite, so a token holding it at upper is
+        # stale.
+        lp = LinearProgram(c=np.array([-1.0, -2.0, 0.5]),
+                           a_ub=sparse.csr_matrix(np.array([
+                               [1.0, 1.0, 0.0],
+                               [1.0, -1.0, -1.0],
+                           ])),
+                           b_ub=np.array([3.0, 1.0]))
+        program = SparseProgram.compile(lp)
+        token = program.solve(lp).state
+        clean = sparse_mod._restart(program, lp.c, lp.b_ub, token, None)
+        assert clean.warm and np.isinf(clean.upper[2])
+        slack = np.asarray(token.slack).copy()
         assert slack[2] == _AT_LOWER
         slack[2] = _AT_UPPER
-        states = [replace(tokens[0], slack=slack), tokens[1]]
-        restart = sparse_mod._restart(
-            compiled.stack, lp.c[compiled.var_idx], lp.b_ub[compiled.row_idx],
-            states, None,
-        )
-        assert restart.warm.tolist() == [False, True]
+        stale = replace(token, slack=slack)
+        assert not sparse_mod._restart(
+            program, lp.c, lp.b_ub, stale, None
+        ).warm
         got_c, ref_c = InMemoryCollector(), InMemoryCollector()
-        got = solve_decomposed(lp, compiled, states=states, collector=got_c)
-        ref = _reference_decomposed(lp, blocks, coupling, states, ref_c, None)
-        _assert_same_solution(got.solution, ref.solution)
+        got = program.solve(lp, state=stale, collector=got_c)
+        ref = _solve_sparse(lp, stale, ref_c, None)
+        _assert_same_solution(got, ref)
         assert _sparse_counters(got_c) == _sparse_counters(ref_c)
-        assert got_c.counters["sparse.warm_hits"] == 1
         assert got_c.counters["sparse.cold_solves"] == 1
+        assert "sparse.warm_hits" not in got_c.counters

@@ -1,7 +1,7 @@
-"""Unit tests for the sparse solver core (boxing, dual simplex,
-decomposition) and its optimizer wiring — including the degenerate-slot
-edges: zero-arrival frontends, zero-server data centers, single-server
-data centers."""
+"""Unit tests for the sparse solver core (boxing, dual simplex, the
+compiled program) and its optimizer wiring — including the
+degenerate-slot edges: zero-arrival frontends, zero-server data centers,
+single-server data centers."""
 
 import time
 
@@ -23,12 +23,9 @@ from repro.sim.failures import degraded_topology
 from repro.solvers.base import LinearProgram, SolveStatus
 from repro.solvers.linprog import solve_lp
 from repro.solvers.sparse import (
-    BlockPlan,
     ImpliedBounds,
-    class_blocks,
-    compile_decomposition,
+    SparseProgram,
     implied_upper_bounds,
-    solve_decomposed,
     solve_sparse_lp,
 )
 
@@ -70,10 +67,13 @@ def _slot_lp(topology, arrivals, prices):
     return fixed_level_lp(inputs, sparse=True)
 
 
-def _section6_day_10x():
-    """The §VI day's topology at 10x fleet plus its 24 slot inputs."""
+def _section6_day(multiplier):
+    """The §VI day's topology at ``multiplier``x fleet plus its 24 slot
+    inputs and slot duration."""
     exp = section6_experiment()
-    topo = exp.topology.with_servers_per_datacenter(SERVERS_PER_DC * 10)
+    topo = exp.topology
+    if multiplier != 1:
+        topo = topo.with_servers_per_datacenter(SERVERS_PER_DC * multiplier)
     slots = [
         (exp.trace.arrivals_at(t), exp.market.prices_at(t))
         for t in range(exp.trace.num_slots)
@@ -134,7 +134,7 @@ class TestImpliedUpperBounds:
 
     def test_compiled_bounds_match_fresh_slot_lps(self):
         # Compile once from the first slot, then evaluate later slots'
-        # c/b_ub the way the decomposed solve does: bit-identical to
+        # c/b_ub the way a compiled program does: bit-identical to
         # implied_upper_bounds of each freshly built LP.
         topo = _small_topology()
         rng = np.random.default_rng(10)
@@ -278,14 +278,14 @@ class TestSparseDualSimplex:
         # clipped point and hand the program to HiGHS.
         import repro.solvers.sparse as sparse_mod
 
-        points = sparse_mod._primal_points
+        point = sparse_mod._primal_point
 
-        def shifted(r, ks):
-            worst = points(r, ks)
-            r.x[ks, :r.stack.n] += 10.0
+        def shifted(r):
+            worst = point(r)
+            r.x[:r.program.n] += 10.0
             return worst
 
-        monkeypatch.setattr(sparse_mod, "_primal_points", shifted)
+        monkeypatch.setattr(sparse_mod, "_primal_point", shifted)
         collector = InMemoryCollector()
         lp = _random_boxable_lp(np.random.default_rng(13))
         got = solve_sparse_lp(lp, collector=collector)
@@ -306,76 +306,11 @@ class TestSparseDualSimplex:
         assert not solve_sparse_lp(lp).ok
 
 
-class TestDecomposition:
-    def _lp_and_blocks(self, topo, arrivals, prices):
-        lp, _ = _slot_lp(topo, arrivals, prices)
-        K, S, L = (topo.num_classes, topo.num_frontends,
-                   topo.num_datacenters)
-        blocks, coupling = class_blocks(K, S, L)
-        return lp, blocks, coupling
-
-    def test_accepts_and_matches_joint_solve(self):
-        topo = _small_topology()
-        lp, blocks, coupling = self._lp_and_blocks(
-            topo,
-            arrivals=np.array([[500.0, 300.0], [200.0, 400.0]]),
-            prices=np.array([0.05, 0.08]),
-        )
-        result = solve_decomposed(
-            lp, compile_decomposition(lp, blocks, coupling)
-        )
-        assert result is not None
-        ref = solve_lp(lp, "highs").require_ok()
-        assert result.solution.objective == pytest.approx(
-            ref.objective, rel=REL_TOL, abs=1e-9
-        )
-        assert lp.is_feasible(result.solution.x, tol=1e-6)
-        assert result.num_blocks == topo.num_classes
-        assert len(result.states) == topo.num_classes
-
-    def test_rejects_when_coupling_binds(self):
-        # A starved fleet (low mu, one server per DC, heavy arrivals)
-        # makes the share-budget rows bind; each block alone would grab
-        # the whole budget, so the optimistic recombination must reject.
-        topo = _small_topology(servers=(1, 1), mu=400.0)
-        collector = InMemoryCollector()
-        lp, blocks, coupling = self._lp_and_blocks(
-            topo,
-            arrivals=np.array([[400.0, 400.0], [400.0, 400.0]]),
-            prices=np.array([0.0001, 0.0001]),
-        )
-        result = solve_decomposed(
-            lp, compile_decomposition(lp, blocks, coupling),
-            collector=collector,
-        )
-        assert result is None
-        assert collector.counters.get("sparse.coupling_rejects", 0) == 1
-
-    def test_validate_rejects_overlapping_blocks(self):
-        topo = _small_topology()
-        lp, blocks, coupling = self._lp_and_blocks(
-            topo,
-            arrivals=np.array([[500.0, 300.0], [200.0, 400.0]]),
-            prices=np.array([0.05, 0.08]),
-        )
-        bad = [blocks[0], blocks[0]]
-        with pytest.raises(ValueError, match="overlap"):
-            compile_decomposition(lp, bad, coupling)
-
-    def test_validate_rejects_partial_cover(self):
-        topo = _small_topology()
-        lp, blocks, coupling = self._lp_and_blocks(
-            topo,
-            arrivals=np.array([[500.0, 300.0], [200.0, 400.0]]),
-            prices=np.array([0.05, 0.08]),
-        )
-        with pytest.raises(ValueError, match="partition"):
-            compile_decomposition(lp, blocks[:1], coupling)
-
+class TestCompiledProgram:
     def test_equality_rows_are_rejected(self):
-        # x0 - x2 = 0 ties the blocks {0, 1} and {2, 3} together: solved
-        # block by block (x1 and x2 win their blocks) the point would be
-        # [0, 4, 4, 0], off the equality row by -4.
+        # x0 - x2 = 0 ties columns 0 and 2 together; a program compiled
+        # from the inequality rows alone must not serve the LP that has
+        # the equality row.
         a_ub = sparse.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0],
                                            [0.0, 0.0, 1.0, 1.0],
                                            [1.0, 0.0, 1.0, 0.0]]))
@@ -385,34 +320,17 @@ class TestDecomposition:
             a_eq=sparse.csr_matrix(np.array([[1.0, 0.0, -1.0, 0.0]])),
             b_eq=np.array([0.0]),
         )
-        blocks = [BlockPlan(var_idx=np.array([0, 1]), row_idx=np.array([0])),
-                  BlockPlan(var_idx=np.array([2, 3]), row_idx=np.array([1]))]
-        coupling = np.array([2])
         with pytest.raises(ValueError, match="equality rows"):
-            compile_decomposition(lp, blocks, coupling)
-        # Compiled from the inequality rows alone, the split still never
-        # serves the program that has the equality row.
-        compiled = compile_decomposition(
-            LinearProgram(c=lp.c, a_ub=a_ub, b_ub=lp.b_ub), blocks, coupling
+            SparseProgram.compile(lp)
+        program = SparseProgram.compile(
+            LinearProgram(c=lp.c, a_ub=a_ub, b_ub=lp.b_ub)
         )
-        assert not compiled.matches(lp)
-        with pytest.raises(ValueError, match="compiled decomposition"):
-            solve_decomposed(lp, compiled)
+        assert not program.matches(lp)
+        with pytest.raises(ValueError, match="compiled program"):
+            program.solve(lp)
         ref = solve_lp(lp, "highs").require_ok()
         assert np.allclose(ref.x, [4.0, 0.0, 4.0, 0.0])
-
-    def test_blocks_of_different_shapes_are_rejected(self):
-        lp = LinearProgram(
-            c=np.array([-1.0, -1.0, -1.0]),
-            a_ub=sparse.csr_matrix(np.array([[1.0, 1.0, 0.0],
-                                             [0.0, 0.0, 1.0],
-                                             [1.0, 0.0, 1.0]])),
-            b_ub=np.array([1.0, 1.0, 2.0]),
-        )
-        blocks = [BlockPlan(var_idx=np.array([0, 1]), row_idx=np.array([0])),
-                  BlockPlan(var_idx=np.array([2]), row_idx=np.array([1]))]
-        with pytest.raises(ValueError, match="one .rows, columns. shape"):
-            compile_decomposition(lp, blocks, np.array([2]))
+        assert solve_sparse_lp(lp).x.tolist() == ref.x.tolist()
 
     @pytest.mark.parametrize("other", [
         {"mu": 4000.0},          # another constraint matrix
@@ -421,22 +339,20 @@ class TestDecomposition:
     def test_rejects_lp_of_another_topology(self, other):
         arrivals = np.array([[500.0, 300.0], [200.0, 400.0]])
         prices = np.array([0.05, 0.08])
-        lp, blocks, coupling = self._lp_and_blocks(
-            _small_topology(), arrivals, prices
-        )
-        compiled = compile_decomposition(lp, blocks, coupling)
+        lp, _ = _slot_lp(_small_topology(), arrivals, prices)
+        program = SparseProgram.compile(lp)
         foreign, _ = _slot_lp(_small_topology(**other), arrivals, prices)
-        with pytest.raises(ValueError, match="compiled decomposition"):
-            solve_decomposed(foreign, compiled)
+        with pytest.raises(ValueError, match="compiled program"):
+            program.solve(foreign)
         # An equal matrix from another cache of the same topology is the
         # compiled one, even though it is a different object.
         again, _ = _slot_lp(_small_topology(), arrivals, prices)
         assert again.a_ub is not lp.a_ub
-        assert solve_decomposed(again, compiled) is not None
+        assert program.solve(again).ok
 
 
 class TestCompiledSlotPath:
-    """After the first slot compiles the blocks, a slot only gathers."""
+    """After the first slot compiles the program, a slot only gathers."""
 
     def test_later_slots_slice_and_construct_no_sparse_matrix(
         self, monkeypatch
@@ -457,29 +373,31 @@ class TestCompiledSlotPath:
 
         monkeypatch.setattr(IndexMixin, "__getitem__", counted_get_item)
         monkeypatch.setattr(_cs_matrix, "__init__", counted_init)
-        topo, slots, duration = _section6_day_10x()
-        opt = ProfitAwareOptimizer(topo, config=OptimizerConfig(sparse=True))
-        opt.plan_slot(*slots[0], slot_duration=duration)
-        # The first slot compiles: the counters do see scipy's work.
-        assert counts["slices"] > 0 and counts["constructions"] > 0
-        counts.update(slices=0, constructions=0)
-        for arrivals, prices in slots[1:]:
-            opt.plan_slot(arrivals, prices, slot_duration=duration)
-            assert opt.last_stats.fallback_level == 0
-        assert counts == {"slices": 0, "constructions": 0}
+        for multiplier in (1, 10):
+            topo, slots, duration = _section6_day(multiplier)
+            opt = ProfitAwareOptimizer(
+                topo, config=OptimizerConfig(sparse=True)
+            )
+            counts.update(slices=0, constructions=0)
+            opt.plan_slot(*slots[0], slot_duration=duration)
+            # The first slot compiles: the counters do see scipy's work.
+            assert counts["constructions"] > 0
+            counts.update(slices=0, constructions=0)
+            for arrivals, prices in slots[1:]:
+                opt.plan_slot(arrivals, prices, slot_duration=duration)
+                assert opt.last_stats.fallback_level == 0
+            assert counts == {"slices": 0, "constructions": 0}, multiplier
 
     def test_warm_slot_factors_once_and_builds_no_program(
         self, monkeypatch
     ):
-        # A warm slot restarts all its blocks in one stacked pass: one
-        # np.linalg.inv for every block's basis, and no per-block
-        # LinearProgram (only a HiGHS fallback would build one).
-        import repro.core.optimizer as optimizer_mod
-
+        # A warm slot restarts the compiled program: one np.linalg.inv
+        # for the token's basis, and no LinearProgram (only a HiGHS
+        # fallback would build one).
         counts = {"inv": 0, "programs": 0}
         inside = [False]
         inv, post_init = np.linalg.inv, LinearProgram.__post_init__
-        solve = optimizer_mod.solve_decomposed
+        solve = SparseProgram.solve
 
         def counted_inv(*args, **kwargs):
             counts["inv"] += inside[0]
@@ -498,136 +416,67 @@ class TestCompiledSlotPath:
 
         monkeypatch.setattr(np.linalg, "inv", counted_inv)
         monkeypatch.setattr(LinearProgram, "__post_init__", counted_post_init)
-        monkeypatch.setattr(optimizer_mod, "solve_decomposed", traced_solve)
-        topo, slots, duration = _section6_day_10x()
-        opt = ProfitAwareOptimizer(topo, config=OptimizerConfig(sparse=True))
-        opt.plan_slot(*slots[0], slot_duration=duration)
-        for arrivals, prices in slots[1:]:
-            counts.update(inv=0, programs=0)
-            opt.plan_slot(arrivals, prices, slot_duration=duration)
-            assert opt.last_stats.warm_start == "hit"
-            assert opt.last_stats.phase_times["solve"] == 0.0
-            assert counts == {"inv": 1, "programs": 0}
+        monkeypatch.setattr(SparseProgram, "solve", traced_solve)
+        for multiplier in (1, 10):
+            topo, slots, duration = _section6_day(multiplier)
+            opt = ProfitAwareOptimizer(
+                topo, config=OptimizerConfig(sparse=True)
+            )
+            opt.plan_slot(*slots[0], slot_duration=duration)
+            for arrivals, prices in slots[1:]:
+                counts.update(inv=0, programs=0)
+                opt.plan_slot(arrivals, prices, slot_duration=duration)
+                assert opt.last_stats.warm_start == "hit"
+                assert counts == {"inv": 1, "programs": 0}, multiplier
 
-    def test_compiled_blocks_pivot_like_freshly_sliced_ones(self):
-        # Reference: slice each block per slot and let solve_sparse_lp
-        # build its own CSC and transpose.  The compiled route must give
-        # the same points, pivots and warm states bit for bit, warm and
-        # cold, with the objective changing on every other slot.
-        topo = _small_topology()
-        rng = np.random.default_rng(12)
-        cache = FixedLevelLPCache(topo, sparse=True)
-        blocks, coupling = class_blocks(
-            topo.num_classes, topo.num_frontends, topo.num_datacenters
-        )
-        compiled = states = None
-        ref_states = [None] * len(blocks)
-        prices = rng.uniform(0.03, 0.1, 2)
-        for t in range(8):
-            if t % 2:
-                prices = rng.uniform(0.03, 0.1, 2)
-            lp, _ = cache.build(SlotInputs(
-                topo, arrivals=rng.uniform(100.0, 800.0, (2, 2)),
-                prices=prices,
-            ))
-            if compiled is None:
-                compiled = compile_decomposition(lp, blocks, coupling)
-            result = solve_decomposed(lp, compiled, states=states)
-            assert result is not None
-            states = result.states
-            pivots = 0
-            for k, blk in enumerate(blocks):
-                ref = solve_sparse_lp(LinearProgram(
-                    c=lp.c[blk.var_idx],
-                    a_ub=lp.a_ub[blk.row_idx][:, blk.var_idx],
-                    b_ub=lp.b_ub[blk.row_idx],
-                    lower=lp.lower[blk.var_idx],
-                    upper=lp.upper[blk.var_idx],
-                ), state=ref_states[k])
-                ref_states[k] = ref.state
-                pivots += ref.iterations
-                got = result.solution.x[blk.var_idx]
-                assert ref.x.tobytes() == got.tobytes()
-                assert np.array_equal(ref.state.basis, states[k].basis)
-                assert np.array_equal(ref.state.slack, states[k].slack)
-            assert pivots == result.solution.iterations
-
-    def test_block_solves_report_sparse_counters(self):
-        topo, slots, duration = _section6_day_10x()
+    def test_section6_day_restarts_warm_from_slot_one(self):
+        # One program, one token: slot 0 starts cold and every later
+        # slot restarts from the previous slot's token.
+        topo, slots, duration = _section6_day(1)
         collector = InMemoryCollector()
         opt = ProfitAwareOptimizer(topo, config=OptimizerConfig(
             sparse=True, collector=collector,
         ))
         for arrivals, prices in slots:
             opt.plan_slot(arrivals, prices, slot_duration=duration)
+        traces = collector.slot_traces
+        assert [t.warm_start for t in traces] == ["cold"] + ["hit"] * 23
         counters = collector.counters
-        pivots = sum(trace.iterations for trace in collector.slot_traces)
-        assert counters["sparse.iterations"] == pivots == 33
-        assert counters["sparse.decomposed_solves"] == len(slots)
-        block_solves = (counters.get("sparse.warm_hits", 0)
-                        + counters.get("sparse.cold_solves", 0))
-        assert block_solves == (
-            topo.num_classes * counters["sparse.decomposed_solves"]
+        assert counters["sparse.warm_hits"] == 23
+        assert counters["sparse.cold_solves"] == 1
+        assert counters["sparse.iterations"] == sum(
+            t.iterations for t in traces
         )
 
 
-class TestBlockFailureAttribution:
-    """A crash inside one decomposed block must name its class block."""
+class TestSection6SlotLP:
+    """The traffic the one-program sparse path rests on."""
 
-    def _decomposable(self):
-        topo = _small_topology()
-        lp, _ = _slot_lp(
-            topo,
-            arrivals=np.array([[500.0, 300.0], [200.0, 400.0]]),
-            prices=np.array([0.05, 0.08]),
-        )
-        K, S, L = (topo.num_classes, topo.num_frontends,
-                   topo.num_datacenters)
-        blocks, coupling = class_blocks(K, S, L)
-        return lp, compile_decomposition(lp, blocks, coupling)
-
-    def test_serial_block_crash_carries_class_label(self, monkeypatch):
-        from repro.sim.parallel import WorkerError
-        from repro.solvers import sparse as sparse_mod
-
-        def boom(*args):
-            raise FloatingPointError("synthetic block crash")
-
-        monkeypatch.setattr(sparse_mod, "_finish_block", boom)
-        with pytest.raises(
-            WorkerError,
-            match=r"block\[class=0\]: FloatingPointError",
-        ):
-            lp, compiled = self._decomposable()
-            solve_decomposed(lp, compiled)
-
-    def test_serial_block_crash_chains_original_cause(self, monkeypatch):
-        from repro.sim.parallel import WorkerError
-        from repro.solvers import sparse as sparse_mod
-
-        def boom(*args):
-            raise FloatingPointError("synthetic block crash")
-
-        monkeypatch.setattr(sparse_mod, "_finish_block", boom)
-        lp, compiled = self._decomposable()
-        with pytest.raises(WorkerError) as excinfo:
-            solve_decomposed(lp, compiled)
-        assert isinstance(excinfo.value.__cause__, FloatingPointError)
-
-    def test_stacked_pass_crash_names_every_class(self, monkeypatch):
-        from repro.sim.parallel import WorkerError
-        from repro.solvers import sparse as sparse_mod
-
-        def boom(*args):
-            raise FloatingPointError("synthetic pass crash")
-
-        monkeypatch.setattr(sparse_mod, "_restart", boom)
-        lp, compiled = self._decomposable()
-        with pytest.raises(
-            WorkerError, match=r"block\[class=0,1\]: FloatingPointError"
-        ) as excinfo:
-            solve_decomposed(lp, compiled)
-        assert isinstance(excinfo.value.__cause__, FloatingPointError)
+    @pytest.mark.parametrize("multiplier", [1, 10, 100])
+    def test_every_slot_solves_on_the_direct_dual_simplex(self, multiplier):
+        # The symmetry collapse keeps the §VI slot LP at 24 x 45 at any
+        # fleet size, far below SPARSE_DIRECT_ROW_LIMIT, and every slot
+        # of the day solves on the dual simplex without a fallback.
+        topo, slots, duration = _section6_day(multiplier)
+        collector = InMemoryCollector()
+        opt = ProfitAwareOptimizer(topo, config=OptimizerConfig(
+            sparse=True, collector=collector,
+        ))
+        dense = ProfitAwareOptimizer(topo, config=OptimizerConfig())
+        for arrivals, prices in slots:
+            opt.plan_slot(arrivals, prices, slot_duration=duration)
+            dense.plan_slot(arrivals, prices, slot_duration=duration)
+            trace = opt.last_stats
+            assert (trace.num_constraints, trace.num_variables) == (24, 45)
+            assert trace.fallback == 0
+            assert trace.objective == pytest.approx(
+                dense.last_stats.objective, rel=REL_TOL, abs=1e-9
+            )
+        counters = collector.counters
+        assert "sparse.highs_fallbacks" not in counters
+        assert "sparse.box_fallbacks" not in counters
+        assert (counters["sparse.warm_hits"]
+                + counters["sparse.cold_solves"]) == len(slots)
 
 
 class TestOptimizerSparsePath:
@@ -659,9 +508,8 @@ class TestOptimizerSparsePath:
         collector = InMemoryCollector()
         opt = self._compare(topo, slots, collector=collector)
         trace = collector.slot_traces[-1]
-        assert {"build", "decompose", "solve", "expand"} <= set(
-            trace.phase_times
-        )
+        assert {"build", "solve", "expand"} <= set(trace.phase_times)
+        assert "decompose" not in trace.phase_times
         assert opt.last_stats.active_servers > 0
         assert opt.last_stats.warm_start == "hit"
 
@@ -718,11 +566,9 @@ class TestOptimizerSparsePath:
         arrivals = np.array([[400.0, 200.0], [150.0, 250.0]])
         prices = np.array([0.05, 0.08])
         opt.plan_slot(arrivals, prices)
-        assert (opt._sparse_block_states is not None
-                or opt._sparse_joint_state is not None)
+        assert opt._sparse_state is not None
         opt.reset_warm_state()
-        assert opt._sparse_block_states is None
-        assert opt._sparse_joint_state is None
+        assert opt._sparse_state is None
         opt.plan_slot(arrivals, prices)
         assert opt.last_stats.warm_start == "cold"
 
