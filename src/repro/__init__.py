@@ -52,7 +52,6 @@ from repro.cloud import (
     LocationSpec,
     Server,
     ServerGroup,
-    ServiceLevelAgreement,
     TransferModel,
     build_heterogeneous_topology,
     random_topology,
@@ -98,8 +97,6 @@ from repro.obs import (
 )
 from repro.core.sensitivity import SlotSensitivity, slot_sensitivity
 from repro.queueing import JacksonNetwork
-from repro.sim import ProfitDistribution, monte_carlo_profit
-from repro.utils.serialization import load_json, save_json
 
 __version__ = "1.0.0"
 
@@ -109,7 +106,7 @@ __all__ = [
     "MonotonicTUF", "RequestClass",
     # cloud substrate
     "Server", "DataCenter", "FrontEnd", "CloudTopology", "random_topology",
-    "EnergyModel", "TransferModel", "ServiceLevelAgreement",
+    "EnergyModel", "TransferModel",
     # market
     "PriceTrace", "MultiElectricityMarket", "houston_profile",
     "mountain_view_profile", "atlanta_profile", "synthetic_profile",
@@ -135,7 +132,5 @@ __all__ = [
     "ServerGroup", "LocationSpec", "build_heterogeneous_topology",
     "ClusterSimulation", "SimulatedSlotOutcome", "simulate_plan",
     "SlotSensitivity", "slot_sensitivity", "JacksonNetwork",
-    "ProfitDistribution", "monte_carlo_profit",
-    "save_json", "load_json",
     "__version__",
 ]

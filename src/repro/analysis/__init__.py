@@ -18,7 +18,7 @@ targets (see :mod:`repro.analysis.engine`):
   :mod:`.model` (big-M tightness, units, matrix diagnostics,
   feasibility pre-checks);
 * ``CT0xx`` — the *solution* (``repro certify``): :mod:`.certify`
-  (primal/dual feasibility, gap, integrality, decomposition).
+  (primal/dual feasibility, gap, integrality, profit identity).
 
 :mod:`.report` holds the one :class:`Finding` type, the renderers, the
 findings baselines and the exit codes; :mod:`.cli` builds the four

@@ -160,7 +160,6 @@ def default_contract() -> LayerContract:
         # nothing above utils, so no import cycle can form).
         ("repro.cloud.topology", "repro.core.request"),
         ("repro.cloud.topology", "repro.core.tuf"),
-        ("repro.cloud.sla", "repro.core.request"),
         ("repro.cloud.heterogeneous", "repro.core.request"),
     })
     hot_paths = (

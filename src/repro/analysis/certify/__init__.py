@@ -6,8 +6,8 @@ Where :mod:`repro.analysis.rules` reads the *source code* and
 this package independently verifies the *solved answer*: primal
 feasibility, dual feasibility and reduced-cost signs, complementary
 slackness and the duality gap, MILP incumbent integrality and bound
-sandwiches, and the sparse path's decomposition/collapse invariants —
-all recomputed from the problem data, trusting no solver-reported
+sandwiches, and the collapse→expand profit identity — all
+recomputed from the problem data, trusting no solver-reported
 residual.
 
 Three entry points, mirroring the auditor:

@@ -47,7 +47,7 @@ class CertifyThresholds:
     ----------
     feas_tol:
         Relative primal-feasibility tolerance (bounds and rows,
-        CT010/CT011/CT050).
+        CT010/CT011).
     dual_tol:
         Relative dual-feasibility and reduced-cost-sign tolerance
         (CT020/CT021), scaled by ``max(1, |c|_inf)``.
@@ -84,8 +84,8 @@ class CertifyContext:
     recomputations.  ``solution`` must be an ``OPTIMAL`` solution of
     ``lp`` (callers gate on :attr:`Solution.ok` before certifying);
     dual-side checks degrade gracefully when the backend attached no
-    marginals (the own simplex, IPM, B&B, and presolve-restored
-    solutions carry primal data only).
+    marginals (the own simplex, IPM and B&B solutions carry primal data
+    only).
     """
 
     lp: LinearProgram
@@ -96,8 +96,6 @@ class CertifyContext:
     inputs: Optional[SlotInputs] = None
     #: Decoded plan for the solution (enables CT051).
     plan: Optional[DispatchPlan] = None
-    #: Indices of ``a_ub`` rows coupling decomposed blocks (CT050).
-    coupling_rows: Optional[np.ndarray] = None
     thresholds: CertifyThresholds = field(default_factory=CertifyThresholds)
 
     _x: Optional[np.ndarray] = field(default=None, repr=False)
@@ -109,10 +107,6 @@ class CertifyContext:
         if self.integer_mask is not None:
             self.integer_mask = np.asarray(
                 self.integer_mask, dtype=bool
-            ).ravel()
-        if self.coupling_rows is not None:
-            self.coupling_rows = np.asarray(
-                self.coupling_rows, dtype=int
             ).ravel()
 
     # ------------------------------------------------------ cached derived
@@ -137,9 +131,8 @@ class CertifyContext:
 
         Requires inequality marginals matching the row count, plus
         equality marginals whenever the problem has equality rows (the
-        reduced costs need both).  Marginals of the wrong length (e.g.
-        block-local duals surviving a decomposition) degrade to
-        primal-only certification rather than crashing.
+        reduced costs need both).  Marginals of the wrong length
+        degrade to primal-only certification rather than crashing.
         """
         if self.lp.a_ub is not None:
             y = self.solution.ineq_marginals
@@ -194,7 +187,6 @@ def certify_solution(
     solution: Solution,
     inputs: Optional[SlotInputs] = None,
     plan: Optional[DispatchPlan] = None,
-    coupling_rows: Optional[np.ndarray] = None,
     thresholds: Optional[CertifyThresholds] = None,
 ) -> Report:
     """Independently verify one solve; report, never raise.
@@ -216,9 +208,6 @@ def certify_solution(
         ``solution.x`` — pass the plan decoded *before* any
         consolidation/spare-capacity postprocessing, which deliberately
         reshapes profit-neutral structure.
-    coupling_rows:
-        Indices of ``a_ub`` rows shared across decomposed blocks;
-        enables the CT050 coupling re-check.
     thresholds:
         Tolerance knobs; defaults to :class:`CertifyThresholds`.
 
@@ -250,7 +239,6 @@ def certify_solution(
         integer_mask=integer_mask,
         inputs=inputs,
         plan=plan,
-        coupling_rows=coupling_rows,
         thresholds=(
             thresholds if thresholds is not None else CertifyThresholds()
         ),
@@ -284,9 +272,7 @@ def _family_coverage(name: str, ctx: CertifyContext) -> "tuple[bool, str]":
     elif name == "milp-incumbent":
         if ctx.integer_mask is None or not bool(np.any(ctx.integer_mask)):
             return False, "not a MILP solve"
-    elif name == "decomposition-invariants":
-        if ctx.coupling_rows is None and (
-            ctx.plan is None or ctx.inputs is None
-        ):
-            return False, "no coupling rows or decoded plan supplied"
+    elif name == "profit-identity":
+        if ctx.plan is None or ctx.inputs is None:
+            return False, "no decoded plan supplied"
     return True, ""

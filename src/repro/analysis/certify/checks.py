@@ -8,14 +8,13 @@ code space:
 * ``CT020``/``CT021`` — dual feasibility, reduced-cost signs;
 * ``CT030``/``CT031`` — complementary slackness, relative duality gap;
 * ``CT040``/``CT041`` — incumbent integrality, bound-sandwich width;
-* ``CT050``/``CT051`` — coupling-row satisfaction after a decomposed
-  block accept, and the collapse→expand profit identity.
+* ``CT051`` — the collapse→expand profit identity.
 
 Dual-side families skip silently when the backend attached no marginals
-(the own simplex, IPM, B&B, and presolve-restored solutions are
-primal-only); :func:`~repro.analysis.certify.certify.certify_solution`
-records the skip in the report details so "clean" is never mistaken for
-"fully checked".
+(the own simplex, IPM and B&B solutions are primal-only);
+:func:`~repro.analysis.certify.certify.certify_solution` records the
+skip in the report details so "clean" is never mistaken for "fully
+checked".
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ __all__ = [
     "DualCertificateRule",
     "GapCertificateRule",
     "IntegralityCertificateRule",
-    "DecompositionCertificateRule",
+    "ProfitCertificateRule",
 ]
 
 
@@ -348,39 +347,22 @@ class IntegralityCertificateRule(Rule):
 
 
 @register
-class DecompositionCertificateRule(Rule):
-    code = "CT050"
+class ProfitCertificateRule(Rule):
+    code = "CT051"
     codes = {
-        "CT050": "coupling row violated after decomposed block accept",
         "CT051": "decoded plan's profit disagrees with the objective",
     }
-    name = "decomposition-invariants"
+    name = "profit-identity"
     rationale = (
-        "The sparse path solves per-class blocks and accepts the "
-        "concatenation only if the shared capacity rows still hold; the "
-        "symmetric collapse is only valid if expanding the aggregated "
-        "solution back to per-server rates reproduces the objective as "
-        "net profit.  Both invariants are recomputed here end to end."
+        "The slot LP aggregates each data center's identical servers "
+        "into one symmetric collapse, which is only valid if expanding "
+        "the aggregated solution back to per-server rates reproduces "
+        "the objective as net profit.  The decoded plan is rescored "
+        "here under Eq. 1 and compared with the solver's objective."
     )
 
     def check(self, ctx: CertifyContext) -> Iterator[Finding]:
-        lp = ctx.lp
         th = ctx.thresholds
-        if ctx.coupling_rows is not None and lp.a_ub is not None:
-            rows = ctx.coupling_rows
-            slack = ctx.slack_ub()[rows]
-            lim = th.feas_tol * np.maximum(1.0, np.abs(lp.b_ub[rows]))
-            over = -slack - lim
-            if np.any(over > 0.0):
-                w = int(np.argmax(over))
-                yield self.finding(
-                    "CT050", "error", f"decomp.coupling[{int(rows[w])}]",
-                    f"coupling row exceeded by {-slack[w]:.3e} after "
-                    f"block accept (tolerance {lim[w]:.3e}; "
-                    f"{int(np.sum(over > 0.0))} row(s) total)",
-                    violation=float(-slack[w]), tolerance=float(lim[w]),
-                    count=float(np.sum(over > 0.0)),
-                )
         if ctx.plan is None or ctx.inputs is None:
             return
         if ctx.solution.objective is None:

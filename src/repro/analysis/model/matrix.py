@@ -1,12 +1,12 @@
 """Pass family 3: constraint-matrix diagnostics (MD030-MD036).
 
-Pure-reporting siblings of the :mod:`repro.solvers.presolve` reductions,
-plus scaling diagnostics the presolver does not attempt: per-row and
-per-column log10 coefficient spread (ill-scaling is the classic failure
-mode of big-M formulations — see pass family 1), duplicate rows, and
-interval-arithmetic certificates.  Where presolve *removes* an empty or
-redundant row, this pass *reports* it, because a production builder
-emitting removable rows is itself a finding about the formulation.
+Pure-reporting counterparts of an LP presolve's reductions, plus
+scaling diagnostics: per-row and per-column log10 coefficient spread
+(ill-scaling is the classic failure mode of big-M formulations — see
+pass family 1), duplicate rows, and interval-arithmetic certificates.
+Where a presolve would *remove* an empty or redundant row, this pass
+*reports* it, because a production builder emitting removable rows is
+itself a finding about the formulation.
 
 All checks operate on a plain :class:`~repro.solvers.base.LinearProgram`
 so tests can feed synthetic programs directly; the registered rule runs
@@ -35,8 +35,7 @@ __all__ = [
     "MatrixDiagnosticsRule",
 ]
 
-#: Coefficients below this magnitude count as structural zeros, matching
-#: the presolve tolerance.
+#: Coefficients below this magnitude count as structural zeros.
 _ZERO_TOL = 1e-12
 
 
@@ -236,7 +235,7 @@ def analyze_program(
         else:
             seen[key] = r
 
-        # Interval arithmetic over the bounds, as in presolve._reduce.
+        # Interval arithmetic over the variable bounds.
         worst, best = float(worst_lhs[r]), float(best_lhs[r])
         if np.isfinite(worst) and worst <= b[r] + 1e-12:
             yield make(
@@ -304,8 +303,8 @@ class MatrixDiagnosticsRule(Rule):
         "many decades, a duplicated or vacuous row, or a bound-level "
         "infeasibility certificate all point at builder bugs or "
         "degenerate topologies that a solver would either grind on or "
-        "mask with a generic 'infeasible' verdict. Mirrors the presolve "
-        "reductions as pure reporting."
+        "mask with a generic 'infeasible' verdict. Mirrors an LP "
+        "presolve's reductions as pure reporting."
     )
 
     def check(self, ctx: AuditContext) -> Iterator[Finding]:

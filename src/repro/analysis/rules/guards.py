@@ -55,11 +55,11 @@ class ToleranceLiteralRule(Rule):
     name = "hardcoded-tolerance"
     rationale = (
         "A tolerance spelled inline (1e-6 here, 1e-8 there) drifts: two "
-        "call sites that must agree on what counts as zero — presolve "
-        "dropping a row, the simplex ratio test keeping it — end up "
-        "with different epsilons and the solve paths diverge on "
-        "degenerate slots. Every threshold that gates a comparison or "
-        "nudges a bound must be a named constant from "
+        "call sites that must agree on what counts as zero — the "
+        "simplex ratio test rejecting a pivot, the sparse restart "
+        "accepting it — end up with different epsilons and the solve "
+        "paths diverge on degenerate slots. Every threshold that gates a "
+        "comparison or nudges a bound must be a named constant from "
         "repro.solvers.tolerances so a change lands everywhere at once."
     )
 

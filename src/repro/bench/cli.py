@@ -1,9 +1,10 @@
 """The ``repro bench`` subcommand.
 
-Runs canonical scenarios from :mod:`repro.bench.scenarios`, writes one
-schema-versioned ``BENCH_<scenario>.json`` per scenario into ``--out``,
-and (with ``--check``) compares each fresh record against the committed
-baseline of the same name in ``--baseline-dir``.
+Runs canonical scenarios from :mod:`repro.bench.scenarios`, each in a
+fresh child process, writes one schema-versioned
+``BENCH_<scenario>.json`` per scenario into ``--out``, and (with
+``--check``) compares each fresh record against the committed baseline
+of the same name in ``--baseline-dir``.
 
 Exit codes follow the repo's analysis CLIs: ``0`` clean, ``1`` a
 regression / rejected baseline / failed scenario, ``2`` usage error.
@@ -13,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.bench.schema import bench_filename, compare_records, load_record
 from repro.bench.scenarios import SCENARIOS, available_scenarios, run_scenario
@@ -85,6 +88,23 @@ def _summarize(record: Dict[str, Any]) -> str:
     return "  ".join(parts)
 
 
+def _run_isolated(name: str, mode: str, seed: Optional[int]) -> Dict[str, Any]:
+    """Run one scenario in a fresh child process and return its record.
+
+    ``peak_rss_mb`` reads the process-lifetime ``ru_maxrss``, so only a
+    process of its own gives a scenario its own peak.  The child comes
+    from a forkserver where the platform has one: Linux folds a parent's
+    resident size into the ``ru_maxrss`` of a fork+exec child, and the
+    forkserver stays small.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(
+        "forkserver" if "forkserver" in methods else "spawn"
+    )
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        return pool.submit(run_scenario, name, mode=mode, seed=seed).result()
+
+
 @register_subcommand(
     "bench",
     help_text="canonical perf-benchmark suite emitting BENCH_*.json; "
@@ -126,7 +146,7 @@ def run_bench(args: argparse.Namespace) -> int:
     mode = "smoke" if args.smoke else "full"
     failures: List[str] = []
     for name in names:
-        record = run_scenario(name, mode=mode, seed=args.seed)
+        record = _run_isolated(name, mode, args.seed)
         path = out_dir / bench_filename(name)
         with path.open("w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)

@@ -51,8 +51,8 @@ def peak_rss_mb() -> float:
 
     Sampled from ``getrusage`` — this is a *lifetime* high-water mark,
     so a scenario's recorded peak includes whatever the process touched
-    before it ran (the scenario catalog runs cheapest-first to keep the
-    readings meaningful).  Returns 0.0 on platforms without the
+    before it ran; ``repro bench`` therefore runs each scenario in a
+    fresh child process.  Returns 0.0 on platforms without the
     ``resource`` module.
     """
     if resource is None:  # pragma: no cover - non-POSIX platforms

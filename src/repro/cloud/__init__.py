@@ -12,7 +12,6 @@ from repro.cloud.frontend import FrontEnd
 from repro.cloud.topology import CloudTopology, random_topology
 from repro.cloud.energy import EnergyModel
 from repro.cloud.transfer import TransferModel
-from repro.cloud.sla import ServiceLevelAgreement
 from repro.cloud.heterogeneous import (
     LocationSpec,
     ServerGroup,
@@ -27,7 +26,6 @@ __all__ = [
     "random_topology",
     "EnergyModel",
     "TransferModel",
-    "ServiceLevelAgreement",
     "ServerGroup",
     "LocationSpec",
     "build_heterogeneous_topology",

@@ -209,10 +209,10 @@ def _aggregated_csr(
 ) -> "_sp.csr_matrix":
     """CSR constraint matrix of the aggregated layout, built vectorized.
 
-    Identical coefficients to the dense loops in
-    :meth:`FixedLevelLPCache._build_aggregated_structure`; row nonzero
-    counts are fixed (delay: S+1, share: K, arrival: L), so the whole
-    matrix assembles from index arithmetic with no Python-level loop.
+    Row nonzero counts are fixed (delay: S+1, share: K, arrival: L), so
+    the whole matrix assembles from index arithmetic with no
+    Python-level loop.  ``tests/test_property_sparse.py`` pins it bit
+    for bit to a loop-built reference.
     """
     n_lam = K * S * L
     n_vars = n_lam + K * L
@@ -332,11 +332,10 @@ class FixedLevelLPCache:
     Row layout (relied upon by :mod:`repro.core.sensitivity`): delay
     rows (class-major), then share-budget rows, then arrival-cap rows.
 
-    With ``sparse=True`` the constraint matrix is built directly as a
-    ``scipy.sparse`` CSR matrix (same coefficients, same layout, never
-    densified) — the representation the sparse solve path of
-    :mod:`repro.solvers.sparse` rides.  Dense remains the default and
-    serves as the equivalence oracle in tests.
+    The constraint matrix is always assembled as a ``scipy.sparse`` CSR
+    matrix.  With ``sparse=True`` it stays CSR — the representation the
+    sparse solve path of :mod:`repro.solvers.sparse` rides; by default
+    it is densified once for the dense backends.
     """
 
     def __init__(
@@ -367,27 +366,10 @@ class FixedLevelLPCache:
         self._n_vars = n_vars
         self._M = M
 
-        if self.sparse:
-            self._a_ub = _aggregated_csr(K, S, L, mu, cap)
-        else:
-            a = np.zeros((K * L + L + K * S, n_vars))
-            # (1) Delay: sum_s lam - Phi*C*mu <= -M_l / D_{k,l-level}
-            for k in range(K):
-                for l in range(L):
-                    r = k * L + l
-                    for s in range(S):
-                        a[r, (k * S + s) * L + l] = 1.0
-                    a[r, n_lam + k * L + l] = -cap[l] * mu[k, l]
-            # (2) Shares: sum_k Phi_{k,l} <= M_l
-            for l in range(L):
-                for k in range(K):
-                    a[K * L + l, n_lam + k * L + l] = 1.0
-            # (3) Arrivals: sum_l lam <= lambda_{k,s}
-            for k in range(K):
-                for s in range(S):
-                    r = K * L + L + k * S + s
-                    a[r, (k * S + s) * L:(k * S + s) * L + L] = 1.0
-            self._a_ub = a
+        # Rows: delay (sum_s lam - Phi*C*mu <= -M_l / D_{k,l-level}),
+        # shares (sum_k Phi_{k,l} <= M_l), arrivals (sum_l lam <= lambda).
+        a_ub = _aggregated_csr(K, S, L, mu, cap)
+        self._a_ub = a_ub if self.sparse else a_ub.toarray()
 
         upper = np.full(n_vars, np.inf)
         upper[n_lam:] = np.tile(M, K)
@@ -420,28 +402,10 @@ class FixedLevelLPCache:
         self._n_vars = n_vars
         self._dc_of = dc_of
 
-        if self.sparse:
-            self._a_ub = _per_server_csr(K, S, N, dc_of, mu, cap)
-        else:
-            a = np.zeros((K * N + N + K * S, n_vars))
-            # (1) Delay per (k, n): sum_s lam - phi*C*mu <= -1/D
-            for k in range(K):
-                for n in range(N):
-                    r = k * N + n
-                    for s in range(S):
-                        a[r, (k * S + s) * N + n] = 1.0
-                    l = dc_of[n]
-                    a[r, n_lam + k * N + n] = -cap[l] * mu[k, l]
-            # (2) Shares per server: sum_k phi <= 1
-            for n in range(N):
-                for k in range(K):
-                    a[K * N + n, n_lam + k * N + n] = 1.0
-            # (3) Arrivals: sum_n lam <= lambda_{k,s}
-            for k in range(K):
-                for s in range(S):
-                    r = K * N + N + k * S + s
-                    a[r, (k * S + s) * N:(k * S + s) * N + N] = 1.0
-            self._a_ub = a
+        # Rows: delay per (k, n) (sum_s lam - phi*C*mu <= -1/D), shares
+        # per server (sum_k phi <= 1), arrivals (sum_n lam <= lambda).
+        a_ub = _per_server_csr(K, S, N, dc_of, mu, cap)
+        self._a_ub = a_ub if self.sparse else a_ub.toarray()
 
         upper = np.full(n_vars, np.inf)
         upper[n_lam:] = 1.0

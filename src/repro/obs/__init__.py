@@ -3,7 +3,7 @@
 Zero-dependency counters, timers, histograms, and structured per-slot
 trace records, threaded through the solvers
 (:mod:`repro.solvers.simplex`, :mod:`repro.solvers.interior_point`,
-:mod:`repro.solvers.branch_bound`, :mod:`repro.solvers.presolve`), the
+:mod:`repro.solvers.branch_bound`, :mod:`repro.solvers.sparse`), the
 optimizer, the controller, and both simulation loops.  Everything is
 opt-in: the default :data:`NULL_COLLECTOR` makes every hook a no-op, so
 uninstrumented runs pay (almost) nothing.

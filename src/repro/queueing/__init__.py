@@ -5,14 +5,12 @@ an M/M/1 queue with service rate ``phi * C * mu_k``:
 
     R_k = 1 / (phi_k * C * mu_k - lambda_k)
 
-This package provides that model plus an M/M/c extension (for the
-heterogeneous-server generalization the paper mentions) and helpers to
-validate the analytics against the discrete-event simulator in
-:mod:`repro.des`.
+This package provides that model plus an open Jackson network extension
+(multi-tier services) and helpers to validate the analytics against the
+discrete-event simulator in :mod:`repro.des`.
 """
 
 from repro.queueing.mm1 import MM1Queue, mm1_mean_delay, mm1_required_capacity, mm1_max_rate
-from repro.queueing.mmc import MMcQueue, erlang_c
 from repro.queueing.jackson import JacksonNetwork
 from repro.queueing.validation import compare_with_des
 
@@ -21,8 +19,6 @@ __all__ = [
     "mm1_mean_delay",
     "mm1_required_capacity",
     "mm1_max_rate",
-    "MMcQueue",
-    "erlang_c",
     "JacksonNetwork",
     "compare_with_des",
 ]

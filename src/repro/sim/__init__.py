@@ -24,14 +24,11 @@ from repro.sim.failures import (
     run_with_failures,
 )
 from repro.sim.reporting import comparison_report
-from repro.sim.montecarlo import ProfitDistribution, monte_carlo_profit
 from repro.sim.parallel import DispatcherSpec, parallel_run_simulation
 
 __all__ = [
     "DispatcherSpec",
     "parallel_run_simulation",
-    "ProfitDistribution",
-    "monte_carlo_profit",
     "MarkovServerAvailability",
     "degraded_topology",
     "expand_degraded_plan",

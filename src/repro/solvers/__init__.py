@@ -29,14 +29,11 @@ from repro.solvers.linprog import solve_lp
 from repro.solvers.simplex import SimplexSolver
 from repro.solvers.branch_bound import BranchAndBoundSolver, solve_milp
 from repro.solvers.penalty import PenaltySolver
-from repro.solvers.presolve import presolve, solve_with_presolve
 from repro.solvers.interior_point import InteriorPointSolver
 
 __all__ = [
     "SolverState",
     "problem_signature",
-    "presolve",
-    "solve_with_presolve",
     "InteriorPointSolver",
     "LinearProgram",
     "MixedIntegerProgram",

@@ -52,14 +52,14 @@ OPTIMALITY_TOL = 1e-8
 WARM_BASIS_TOL = 1e-7
 
 #: General numerical zero for pivot-eligibility tests, tie-breaking,
-#: bound nudges before ceil/floor, and coupling-row checks.
+#: and bound nudges before ceil/floor.
 ZERO_TOL = 1e-9
 
 #: Below this magnitude a pivot element is treated as vanished and the
 #: basis exchange is refused (dual simplex).
 PIVOT_TOL = 1e-10
 
-#: Strictest tolerance: presolve fixed-variable/redundancy detection,
-#: B&B pruning slack, greedy-search improvement threshold.  Close to
-#: float64 round-off at the library's typical problem scales.
+#: Strictest tolerance: B&B pruning slack, greedy-search improvement
+#: threshold, right-sizing's active-load test.  Close to float64
+#: round-off at the library's typical problem scales.
 STRICT_TOL = 1e-12

@@ -12,10 +12,6 @@ from repro.utils.rng import RandomStreams, as_generator
 from repro.utils.tables import render_table
 from repro.utils.ascii_plot import line_chart, sparkline
 
-# NOTE: repro.utils.serialization is intentionally NOT imported here —
-# it depends on repro.core/market/workload, which themselves import
-# repro.utils; import it directly or via the top-level repro package.
-
 __all__ = [
     "sparkline",
     "line_chart",

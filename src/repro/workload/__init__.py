@@ -18,11 +18,9 @@ from repro.workload.arrivals import (
 )
 from repro.workload.worldcup import worldcup_like_trace
 from repro.workload.googletrace import google_like_trace
-from repro.workload.weekly import weekly_trace
 from repro.workload.prediction import EWMAPredictor, KalmanFilterPredictor
 
 __all__ = [
-    "weekly_trace",
     "WorkloadTrace",
     "diurnal_rates",
     "burst_overlay",

@@ -10,6 +10,7 @@ malformed JSON, and an old schema version.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -82,6 +83,19 @@ class TestListAndRun:
         assert code == 0
         record = load_record(tmp_path / bench_filename(FAST))
         assert record["seed"] == 7
+
+
+class TestPeakMemory:
+    def test_record_peak_is_the_scenarios_own(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        # Touch far more memory here than a smoke run needs: a peak read
+        # in this process would carry it into the record.
+        ballast_mb = 256
+        ballast = np.ones(ballast_mb * 2**20 // 8)
+        record = _run_smoke(tmp_path)
+        own_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        del ballast
+        assert record["timing"]["peak_rss_mb"] < own_mb - ballast_mb / 2
 
 
 class TestBaselineChecks:

@@ -3,7 +3,7 @@
 A certifier earns its keep by *rejecting* corrupted certificates, not
 by passing clean ones: each test here takes a known-optimal solve and
 breaks exactly one invariant (a basic variable, a dual sign, the
-objective, a coupling row, an incumbent's integrality), asserting the
+objective, an incumbent's integrality), asserting the
 precise ``CT0xx`` code fires.  The §VI acceptance test then certifies a
 full simulated day on both the dense and sparse paths.
 """
@@ -171,15 +171,6 @@ class TestAdversarialCorruption:
         assert "CT041" in _codes(report)
         assert report.clean  # warning, not error
 
-    def test_violated_coupling_row_is_ct050(self):
-        lp, sol = _solved_lp()
-        report = certify_solution(
-            lp,
-            replace(sol, x=np.array([1.0, 1.0])),
-            coupling_rows=np.array([0]),
-        )
-        assert "CT050" in _codes(report)
-
     def test_no_solution_vector_is_ct010(self):
         lp, _ = _solved_lp()
         sol = Solution(status=SolveStatus.INFEASIBLE)
@@ -205,7 +196,7 @@ class TestProfitIdentity:
         inputs, lp, sol, plan = self._solved_slot(small_topology)
         report = certify_solution(lp, sol, inputs=inputs, plan=plan)
         assert report.clean, report.render_text()
-        assert "decomposition-invariants" in report.details["checked"]
+        assert "profit-identity" in report.details["checked"]
 
     def test_profit_shortfall_is_ct051_error(self, small_topology):
         inputs, lp, sol, plan = self._solved_slot(small_topology)
@@ -242,11 +233,11 @@ class TestProfitIdentity:
 class TestRegistry:
     def test_five_families_sorted_by_lead_code(self):
         leads = [rule.code for rule in all_rules("CT")]
-        assert leads == ["CT010", "CT020", "CT030", "CT040", "CT050"]
+        assert leads == ["CT010", "CT020", "CT030", "CT040", "CT051"]
 
     def test_lookup_by_member_code(self):
         assert get_rule("CT021").name == "dual-feasibility"
-        assert get_rule("CT051").name == "decomposition-invariants"
+        assert get_rule("CT051").name == "profit-identity"
         with pytest.raises(KeyError):
             get_rule("CT999")
 

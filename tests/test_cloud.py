@@ -1,4 +1,4 @@
-"""Tests for the cloud substrate (data centers, topology, costs, SLA)."""
+"""Tests for the cloud substrate (data centers, topology, costs)."""
 
 import copy
 import dataclasses
@@ -10,7 +10,6 @@ import pytest
 from repro.cloud.datacenter import DataCenter, Server
 from repro.cloud.energy import EnergyModel, GOOGLE_WEB_SEARCH_KWH
 from repro.cloud.frontend import FrontEnd
-from repro.cloud.sla import ServiceLevelAgreement
 from repro.cloud.topology import CloudTopology, TopologyArrays, random_topology
 from repro.cloud.transfer import TransferModel
 from repro.core.request import RequestClass
@@ -305,32 +304,7 @@ class TestEnergyModel:
         assert GOOGLE_WEB_SEARCH_KWH == pytest.approx(3e-4)
 
 
-class TestServiceLevelAgreement:
-    @pytest.fixture
-    def sla(self, small_topology):
-        return ServiceLevelAgreement(small_topology.request_classes)
-
-    def test_revenue_per_request(self, sla):
-        assert sla.revenue_per_request(0, 0.01) == pytest.approx(5.0)
-        assert sla.revenue_per_request(0, 0.06) == pytest.approx(0.0)
-
-    def test_revenue_rate(self, sla):
-        total = sla.revenue_rate(np.array([0.01, 0.01]), np.array([2.0, 3.0]))
-        assert total == pytest.approx(5.0 * 2 + 9.0 * 3)
-
-    def test_level_achieved(self, sla):
-        assert sla.level_achieved(0, 0.01) == 0
-        assert sla.level_achieved(0, 0.10) == -1
-
-    def test_meets_deadline(self, sla):
-        assert sla.meets_deadline(1, 0.08)
-        assert not sla.meets_deadline(1, 0.081)
-
-    def test_summary(self, sla):
-        summary = sla.summary()
-        assert summary["r1"]["max_value"] == 5.0
-        assert summary["r2"]["levels"] == 1
-
+class TestFrontEnd:
     def test_frontend_rejects_empty_name(self):
         with pytest.raises(ValueError):
             FrontEnd("")

@@ -1,43 +1,11 @@
-"""Regression tests pinning behavior at the float-guard boundaries that
-RP001 flagged: erlang_c's zero-load short-circuit (queueing/mmc.py) and
-brown_energy_fraction's zero-energy guard (market/green.py)."""
+"""Regression tests pinning behavior at the float-guard boundary that
+RP001 flagged: brown_energy_fraction's zero-energy guard
+(market/green.py)."""
 
 import numpy as np
 import pytest
 
 from repro.market.green import brown_energy_fraction, solar_profile
-from repro.queueing.mmc import MMcQueue, ZERO_LOAD_TOL, erlang_c
-
-
-class TestErlangCZeroBoundary:
-    def test_exact_zero_load(self):
-        assert erlang_c(3, 0.0) == 0.0
-
-    def test_negative_zero_load(self):
-        assert erlang_c(3, -0.0) == 0.0
-
-    def test_subtolerance_load_short_circuits(self):
-        # LP noise: "no traffic" often arrives as ~1e-17, not 0.0.
-        assert erlang_c(3, 1e-17) == 0.0
-        assert erlang_c(3, ZERO_LOAD_TOL) == 0.0
-
-    def test_above_tolerance_is_computed_and_continuous(self):
-        just_above = erlang_c(3, ZERO_LOAD_TOL * 10)
-        assert 0.0 < just_above < 1e-9  # tiny but genuine waiting probability
-        # The short-circuit introduces no jump: both sides of the
-        # threshold round to ~0 at solver tolerances.
-        assert abs(just_above - 0.0) < 1e-9
-
-    def test_moderate_load_unchanged(self):
-        # Classic Erlang-C value, pinned so the guard rewrite cannot
-        # perturb the non-degenerate regime.
-        assert erlang_c(2, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-    def test_queue_properties_at_negligible_load(self):
-        q = MMcQueue(num_servers=2, service_rate=5.0, arrival_rate=1e-14)
-        assert q.waiting_probability == 0.0
-        assert q.mean_waiting_time == 0.0
-        assert q.mean_sojourn_time == pytest.approx(1.0 / 5.0)
 
 
 class TestBrownFractionZeroBoundary:

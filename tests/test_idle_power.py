@@ -91,11 +91,3 @@ class TestIdlePowerMakesConsolidationPay:
                 - evaluate_plan(spread, arrivals, prices).net_profit
             )
         assert gains[1] > gains[0] > 0
-
-    def test_serialization_round_trips_idle_power(self, small_topology):
-        from repro.utils.serialization import (
-            topology_from_dict, topology_to_dict,
-        )
-        topo = with_idle(small_topology, idle_kw=0.7)
-        rebuilt = topology_from_dict(topology_to_dict(topo))
-        assert all(dc.idle_power_kw == 0.7 for dc in rebuilt.datacenters)

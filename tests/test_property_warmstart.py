@@ -29,7 +29,6 @@ from repro.core.tuf import ConstantTUF, StepDownwardTUF
 from repro.solvers.base import LinearProgram
 from repro.solvers.interior_point import InteriorPointSolver
 from repro.solvers.linprog import solve_lp
-from repro.solvers.presolve import solve_with_presolve
 from repro.solvers.simplex import SimplexSolver
 
 REL_TOL = 1e-6
@@ -226,55 +225,3 @@ class TestFormulationCacheProperties:
             assert np.array_equal(fresh_mip.lp.upper, cached_mip.lp.upper)
             assert np.array_equal(fresh_mip.integer_mask,
                                   cached_mip.integer_mask)
-
-
-@st.composite
-def presolvable_lp_pairs(draw, max_vars=7, max_rows=4):
-    """LP pairs where a random subset of variables is pinned.
-
-    Pinned variables make presolve actually reduce the problem, so the
-    warm-start state must live (and stay valid) in the reduced space.
-    """
-    n = draw(st.integers(3, max_vars))
-    m = draw(st.integers(1, max_rows))
-    a = draw(arrays(float, (m, n), elements=finite))
-    upper = np.full(n, draw(st.floats(1.0, 5.0)))
-    lower = np.zeros(n)
-    pinned = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    if all(pinned):
-        pinned[0] = False
-    for j, pin in enumerate(pinned):
-        if pin:
-            value = draw(st.floats(0.0, 1.0))
-            lower[j] = upper[j] = value
-
-    def instance():
-        c = draw(arrays(float, n, elements=finite))
-        b = draw(arrays(float, m,
-                        elements=st.floats(2.0, 6.0, allow_nan=False)))
-        # b >> max row activity of the pinned block keeps both feasible.
-        return LinearProgram(c=c, a_ub=a, b_ub=b, lower=lower, upper=upper)
-
-    return instance(), instance()
-
-
-class TestPresolveComposition:
-    @given(pair=presolvable_lp_pairs())
-    @settings(max_examples=50, deadline=None)
-    def test_presolve_plus_warm_start_preserves_optimum(self, pair, certify):
-        first, second = pair
-        sol1 = solve_with_presolve(first, method="simplex")
-        if not sol1.ok:
-            # Pinned values can make the whole LP infeasible; the
-            # reference must agree, and there is nothing to warm-start.
-            assert not solve_lp(first, "highs").ok
-            return
-        certify(first, sol1)
-        warm = solve_with_presolve(second, method="simplex",
-                                   state=sol1.state)
-        reference = solve_lp(second, "highs")
-        assert warm.ok == reference.ok
-        if reference.ok:
-            assert _close(warm.objective, reference.objective)
-            assert second.is_feasible(warm.x, tol=1e-6)
-            certify(second, warm)

@@ -9,7 +9,6 @@ from repro.queueing.mm1 import (
     mm1_mean_delay,
     mm1_required_capacity,
 )
-from repro.queueing.mmc import MMcQueue, erlang_c
 
 
 class TestMM1Formulas:
@@ -82,55 +81,3 @@ class TestMM1Queue:
 
     def test_violation_probability_unstable(self):
         assert MM1Queue(5.0, 6.0).delay_violation_probability(1.0) == 1.0
-
-
-class TestErlangC:
-    def test_single_server_reduces_to_mm1(self):
-        # For c=1, P(wait) = rho.
-        assert erlang_c(1, 0.7) == pytest.approx(0.7)
-
-    def test_zero_load(self):
-        assert erlang_c(4, 0.0) == 0.0
-
-    def test_saturated(self):
-        assert erlang_c(2, 2.0) == 1.0
-
-    def test_known_value(self):
-        # Classic check: c=2, a=1 => P(wait) = 1/3.
-        assert erlang_c(2, 1.0) == pytest.approx(1.0 / 3.0)
-
-    def test_monotone_in_load(self):
-        values = [erlang_c(5, a) for a in (1.0, 2.0, 3.0, 4.0, 4.9)]
-        assert all(x < y for x, y in zip(values, values[1:]))
-
-    def test_large_c_stable(self):
-        # Log-space evaluation must not overflow for big systems.
-        p = erlang_c(500, 450.0)
-        assert 0.0 < p < 1.0
-
-    def test_rejects_zero_servers(self):
-        with pytest.raises(ValueError):
-            erlang_c(0, 0.5)
-
-
-class TestMMcQueue:
-    def test_c1_matches_mm1(self):
-        mmc = MMcQueue(num_servers=1, service_rate=10.0, arrival_rate=8.0)
-        mm1 = MM1Queue(service_rate=10.0, arrival_rate=8.0)
-        assert mmc.mean_sojourn_time == pytest.approx(mm1.mean_sojourn_time)
-
-    def test_pooling_beats_split_queues(self):
-        # M/M/2 at rate mu beats two M/M/1 each at rate mu with half the load.
-        pooled = MMcQueue(2, service_rate=10.0, arrival_rate=16.0)
-        split = MM1Queue(service_rate=10.0, arrival_rate=8.0)
-        assert pooled.mean_sojourn_time < split.mean_sojourn_time
-
-    def test_unstable(self):
-        q = MMcQueue(2, 5.0, 10.0)
-        assert not q.is_stable
-        assert q.mean_sojourn_time == np.inf
-
-    def test_utilization(self):
-        q = MMcQueue(4, 5.0, 10.0)
-        assert q.offered_load == pytest.approx(2.0)
-        assert q.utilization == pytest.approx(0.5)
