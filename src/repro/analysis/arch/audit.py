@@ -41,6 +41,7 @@ __all__ = [
     "ArchContext",
     "DEFAULT_USAGE_ROOTS",
     "audit_tree",
+    "default_usage_paths",
     "load_api_baseline",
 ]
 
@@ -93,8 +94,11 @@ def load_api_baseline(path: str) -> Dict[str, object]:
     return payload
 
 
-def _default_usage_paths() -> List[str]:
-    return [root for root in DEFAULT_USAGE_ROOTS if os.path.isdir(root)]
+def default_usage_paths(extra: Sequence[str] = ()) -> List[str]:
+    """The :data:`DEFAULT_USAGE_ROOTS` present under the current
+    directory, then each of ``extra`` not already listed."""
+    roots = [root for root in DEFAULT_USAGE_ROOTS if os.path.isdir(root)]
+    return roots + [path for path in extra if path not in roots]
 
 
 def _suppression_for(
@@ -142,7 +146,7 @@ def audit_tree(
     index = build_tree_index(paths)
     roots = (
         list(usage_paths) if usage_paths is not None
-        else _default_usage_paths()
+        else default_usage_paths()
     )
     usage = build_usage_index(index, roots)
     baseline = api_baseline

@@ -272,9 +272,12 @@ def _arch(
     paths: List[str], usage_paths: Optional[List[str]], api_baseline: str
 ) -> Report:
     from repro.analysis.arch import audit_tree
+    from repro.analysis.arch.audit import default_usage_paths
 
+    # --usage-path adds trees to the default roots; it never replaces them.
     return audit_tree(
-        paths, usage_paths=usage_paths, api_baseline_path=api_baseline,
+        paths, usage_paths=default_usage_paths(usage_paths or ()),
+        api_baseline_path=api_baseline,
     )
 
 

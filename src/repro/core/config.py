@@ -40,6 +40,11 @@ class OptimizerConfig:
     ----------
     level_method:
         ``"auto"``, ``"lp"``, ``"milp"``, ``"bigm"``, or ``"greedy"``.
+        ``"auto"`` solves one-level slots as an LP; multi-level slots
+        on the aggregated formulation by the exact level search
+        (depth-first branch-and-bound over level vectors, every node a
+        warm restart of the one compiled fixed-level LP; traced as
+        ``method="levels"``), and per-server ones by the MILP.
     formulation:
         ``"aggregated"`` or ``"per_server"``.
     lp_method:
@@ -69,9 +74,10 @@ class OptimizerConfig:
         dual-simplex warm restart from the previous slot's basis
         (RHS-only when only arrivals changed).  Produces the
         same plans and objectives as the dense path (pinned at 1e-6 in
-        the property suite); MILP/big-M/greedy level methods and the
-        fallback chain's alternate backends keep using the dense
-        solvers.
+        the property suite); the MILP/big-M/greedy level methods and
+        the fallback chain's alternate backends keep using the dense
+        solvers.  The exact level search of ``level_method="auto"``
+        always runs on the compiled program, whatever this flag says.
     collector:
         Telemetry sink (see :mod:`repro.obs`); the default
         :class:`~repro.obs.collectors.NullCollector` disables all

@@ -29,7 +29,7 @@ equivalent to the paper's constrained program (solved there by CPLEX).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse as _sp
@@ -45,8 +45,10 @@ __all__ = [
     "fixed_level_lp",
     "multilevel_milp",
     "FixedLevelLPCache",
+    "LevelFill",
     "MultilevelMILPCache",
     "DEADLINE_SAFETY",
+    "lift_to_milp",
 ]
 
 Decoder = Callable[[np.ndarray], DispatchPlan]
@@ -467,6 +469,102 @@ class FixedLevelLPCache:
         lp = LinearProgram(c=c, a_ub=self._a_ub, b_ub=b, upper=self._upper)
         return lp, self._decoder
 
+    def level_fill(self, inputs: SlotInputs) -> "LevelFill":
+        """One slot's LP with its level tables, for a level search.
+
+        Aggregated layout only.  The LP is :meth:`build`'s; the slot's
+        ``(K, S, L)`` costs and its per-level utility and effective
+        sub-deadline tables are computed here, once;
+        :meth:`LevelFill.fill` then sets the LP to any partial level
+        vector.
+        """
+        if self.per_server:
+            raise ValueError("a level fill needs the aggregated layout")
+        lp, decoder = self.build(inputs)
+        return LevelFill(inputs, lp, decoder)
+
+
+class LevelFill:
+    """A slot's fixed-level LP, refilled in place per TUF level vector.
+
+    Built by :meth:`FixedLevelLPCache.level_fill`.  Position
+    ``p = k * L + l`` holds the level of class ``k`` at data center
+    ``l`` (the row-major order of a ``(K, L)`` level array).  A level
+    vector changes only the utility in ``c[:K*S*L]`` and the delay
+    right-hand side ``b_ub[:K*L]``, so :meth:`fill` writes nothing
+    else; a full vector's ``c`` and ``b_ub`` are bit-identical to
+    ``FixedLevelLPCache.build(inputs, levels=...)``.
+    """
+
+    def __init__(
+        self, inputs: SlotInputs, lp: LinearProgram, decoder: Decoder
+    ) -> None:
+        topo = inputs.topology
+        K, L = topo.num_classes, topo.num_datacenters
+        self.lp = lp
+        self.decoder = decoder
+        #: Levels per position (the search's ``num_choices``).
+        self.sizes = [
+            rc.tuf.num_levels for rc in topo.request_classes for _ in range(L)
+        ]
+        self._shape = (K, L)
+        self._n_lam = K * topo.num_frontends * L
+        self._T = inputs.slot_duration
+        self._cost = inputs.cost_per_request()  # (K, S, L)
+        self._M = topo.servers_per_datacenter.astype(float)  # (L,)
+        self._mu_cap = topo.service_rates * topo.server_capacities[None, :]
+        self._hosted = self._M > 0
+        # Per-(position, level) utility and effective sub-deadline, as
+        # in _level_tables; a free position takes its class's highest
+        # utility and loosest sub-deadline (a valid bound: a higher
+        # utility raises every feasible point's profit, a looser
+        # deadline only enlarges the feasible set).
+        scale = (inputs.deadline_scale * (1.0 - DEADLINE_SAFETY)
+                 / inputs.delay_factor)
+        width = max(self.sizes)
+        self._utility = np.zeros((K * L, width))
+        self._deadline = np.ones((K * L, width))
+        self._free_utility = np.empty(K * L)
+        self._free_deadline = np.empty(K * L)
+        for k, rc in enumerate(topo.request_classes):
+            values = rc.tuf.values
+            deadlines = rc.tuf.deadlines * scale
+            rows = slice(k * L, (k + 1) * L)
+            self._utility[rows, :values.size] = values
+            self._deadline[rows, :values.size] = deadlines
+            self._free_utility[rows] = values.max()
+            self._free_deadline[rows] = deadlines.max()
+
+    def fill(self, prefix: Sequence[int]) -> bool:
+        """Set the LP to the levels ``prefix`` of the first positions.
+
+        Later positions are free (highest utility, loosest
+        sub-deadline).  Returns ``False``, leaving the LP untouched,
+        when the node's share reserve cannot fit:
+        ``sum_k 1 / (D * C * mu) > 1`` at a data center with servers
+        (the :func:`feasibility_margin` arithmetic at the node's
+        sub-deadlines), so no point of the node is feasible.  Every
+        node it accepts is feasible with nothing dispatched.
+        """
+        depth = len(prefix)
+        utility = self._free_utility.copy()
+        deadline = self._free_deadline.copy()
+        if depth:
+            positions = np.arange(depth)
+            levels = np.asarray(prefix, dtype=int)
+            utility[:depth] = self._utility[positions, levels]
+            deadline[:depth] = self._deadline[positions, levels]
+        utility = utility.reshape(self._shape)
+        deadline = deadline.reshape(self._shape)
+        margin = 1.0 - (1.0 / (deadline * self._mu_cap)).sum(axis=0)
+        if np.any(self._hosted & (margin < 0)):
+            return False
+        K, L = self._shape
+        net = utility[:, None, :] - self._cost
+        self.lp.c[:self._n_lam] = (-self._T * net).ravel()
+        self.lp.b_ub[:K * L] = (-self._M / deadline).ravel()
+        return True
+
 
 def fixed_level_lp(
     inputs: SlotInputs,
@@ -757,6 +855,35 @@ class MultilevelMILPCache:
         )
         mip = MixedIntegerProgram(lp=lp, integer_mask=self._integer_mask)
         return mip, self._decoder
+
+
+def lift_to_milp(
+    topology: CloudTopology, x: np.ndarray, levels: np.ndarray
+) -> np.ndarray:
+    """The multi-level MILP point of a fixed-level LP solution.
+
+    ``x`` solves the aggregated fixed-level LP at the ``(K, L)`` level
+    array ``levels``.  Its rates and share masses keep their places
+    (both layouts start with them); ``z`` is one-hot at the chosen
+    levels and the McCormick ``y_q`` equals the class load ``Lambda``
+    at the chosen level, 0 elsewhere.  The result (float64) is a point
+    of :func:`multilevel_milp`'s variable space with the same objective.
+    """
+    K, S, L = topology.num_classes, topology.num_frontends, topology.num_datacenters
+    counts = [rc.tuf.num_levels for rc in topology.request_classes]
+    n_lam, n_phi = K * S * L, K * L
+    n_z = L * sum(counts)
+    x = np.asarray(x, dtype=float)
+    load = x[:n_lam].reshape(K, S, L).sum(axis=1)  # (K, L)
+    out = np.zeros(n_lam + n_phi + 2 * n_z)
+    out[:n_lam + n_phi] = x[:n_lam + n_phi]
+    offset = n_lam + n_phi
+    for k, q_count in enumerate(counts):
+        z = offset + np.arange(L) * q_count + np.asarray(levels[k], dtype=int)
+        out[z] = 1.0
+        out[z + n_z] = load[k]
+        offset += L * q_count
+    return out
 
 
 def multilevel_milp(

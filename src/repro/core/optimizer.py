@@ -5,14 +5,17 @@ optimization of §IV and returns a :class:`~repro.core.plan.DispatchPlan`.
 Solve paths:
 
 * ``"lp"`` — one-level TUFs (paper §IV-1): a plain LP;
-* ``"milp"`` — multi-level TUFs via the exact MILP with binary level
+* ``"milp"`` — multi-level TUFs via the MILP with binary level
   selectors (the role CPLEX plays in the paper);
 * ``"bigm"`` — the paper's literal big-M nonlinear constraint series
   solved with a penalty/SLSQP method, repaired through the LP;
 * ``"greedy"`` — coordinate-descent local search over level vectors
   with the LP as oracle (cheap heuristic ablation);
-* ``"auto"`` (default) — ``"lp"`` when every class has a one-level TUF,
-  ``"milp"`` otherwise.
+* ``"auto"`` (default) — ``"lp"`` when every class has a one-level TUF;
+  otherwise the exact level search (the ``"levels"`` stage:
+  depth-first branch-and-bound over level vectors, every node a warm
+  restart of the one compiled fixed-level LP), or ``"milp"`` under
+  ``formulation="per_server"``.
 
 Formulations: ``"aggregated"`` (fast, provably equivalent given
 homogeneous servers per data center) or ``"per_server"``
@@ -38,6 +41,7 @@ from repro.core.formulation import (
     MultilevelMILPCache,
     SlotInputs,
     fixed_level_lp,
+    lift_to_milp,
     multilevel_milp,
 )
 from repro.core.objective import evaluate_plan
@@ -51,9 +55,13 @@ from repro.solvers.base import (
     Solution,
     SolverError,
     SolverState,
+    SolveStatus,
 )
 from repro.solvers.branch_bound import solve_milp
-from repro.solvers.levels import coordinate_descent_levels
+from repro.solvers.levels import (
+    branch_and_bound_levels,
+    coordinate_descent_levels,
+)
 from repro.solvers.linprog import solve_lp
 from repro.solvers.sparse import SparseProgram
 from repro.solvers.tolerances import ZERO_TOL
@@ -150,9 +158,9 @@ class ProfitAwareOptimizer:
         # Formulation caches (structure only; built lazily, never reset).
         self._lp_cache: Optional[FixedLevelLPCache] = None
         self._milp_cache: Optional[MultilevelMILPCache] = None
-        # Sparse solve path (config.sparse): CSR aggregated cache — the
-        # symmetry collapse of identical servers — plus the program
-        # compiled from it and its warm-start state.
+        # Sparse solve path (config.sparse) and the level search: CSR
+        # aggregated cache — the symmetry collapse of identical servers
+        # — plus the program compiled from it and its warm-start state.
         self._sparse_cache: Optional[FixedLevelLPCache] = None
         self._sparse_program: Optional[SparseProgram] = None
         self._sparse_state: Optional[SolverState] = None
@@ -200,7 +208,12 @@ class ProfitAwareOptimizer:
         config = self.config
         method = config.level_method
         if method == "auto":
-            method = "milp" if self._multilevel else "lp"
+            if not self._multilevel:
+                method = "lp"
+            elif config.formulation == "per_server":
+                method = "milp"
+            else:
+                method = "levels"
         if method == "lp" and self._multilevel:
             raise ValueError(
                 "level_method='lp' requires one-level TUFs; use 'milp', "
@@ -342,12 +355,14 @@ class ProfitAwareOptimizer:
         ``lp_method``/``milp_method`` override the configured backends
         (fallback stages re-solve with an *independent* implementation);
         ``budget`` caps solver work (iterations for LPs, nodes for
-        MILPs).  The big-M path has no budget knob.
+        MILPs and the level search).  The big-M path has no budget knob.
         """
         if method == "lp":
             return self._solve_lp(
                 inputs, lp_method=lp_method, max_iterations=budget
             )
+        if method == "levels":
+            return self._solve_levels(inputs, max_nodes=budget)
         if method == "milp":
             return self._solve_milp(
                 inputs, milp_method=milp_method, max_nodes=budget
@@ -614,17 +629,116 @@ class ProfitAwareOptimizer:
                               solve=t2 - t1, expand=time.perf_counter() - t2)
         if config.formulation == "per_server":
             fields["phase_times"].update(build=0.0, collapse=t1 - t0)
-        # Integer server counts implied by the aggregate share mass.
-        topo = self.topology
-        K, S, L = topo.num_classes, topo.num_frontends, topo.num_datacenters
-        n_lam = K * S * L
-        dc_shares = solution.x[n_lam:n_lam + K * L].reshape(K, L).sum(axis=0)
-        fields["active_servers"] = int(
-            np.ceil(np.maximum(dc_shares, 0.0) - ZERO_TOL).sum()
-        )
+        fields["active_servers"] = self._active_servers(solution.x)
         payload = None
         if config.certify != "off":
             payload = {"problem": lp, "solution": solution, "plan": plan}
+        return plan, fields, payload
+
+    def _active_servers(self, x: np.ndarray) -> int:
+        """Integer server count implied by an aggregated point's share
+        mass."""
+        topo = self.topology
+        K, S, L = topo.num_classes, topo.num_frontends, topo.num_datacenters
+        n_lam = K * S * L
+        dc_shares = x[n_lam:n_lam + K * L].reshape(K, L).sum(axis=0)
+        return int(np.ceil(np.maximum(dc_shares, 0.0) - ZERO_TOL).sum())
+
+    def _solve_levels(
+        self,
+        inputs: SlotInputs,
+        max_nodes: Optional[int] = None,
+    ) -> _StageResult:
+        """Exact level selection: branch-and-bound over level vectors.
+
+        :func:`~repro.solvers.levels.branch_and_bound_levels` searches
+        the (class, data center) level vectors depth first.  Each node
+        is the aggregated fixed-level LP with the node's levels (free
+        positions at their highest utility and loosest sub-deadline,
+        :class:`~repro.core.formulation.LevelFill`), solved as a warm
+        restart of the one compiled :class:`SparseProgram`: within the
+        slot from the previous node's token, and the root from the
+        previous slot's root token when warm-starting.  A node whose
+        share reserve cannot fit is pruned without a solve.
+        ``max_nodes`` caps the oracle calls; running out, finding no
+        feasible vector or a failed node LP raises
+        :class:`SolverError`.
+
+        The trace counts the node LPs solved as ``nodes`` and the
+        winning leaf's pivots as ``iterations``; ``warm_start`` is the
+        root's outcome.  The certificate is the slot's MILP at the
+        winning leaf (:func:`~repro.core.formulation.lift_to_milp`) with
+        gap 0: the tree was exhausted.
+        """
+        config = self.config
+        t0 = time.perf_counter()
+        if self._sparse_cache is None:
+            self._sparse_cache = FixedLevelLPCache(self.topology, sparse=True)
+        nodes = self._sparse_cache.level_fill(inputs)
+        lp = nodes.lp
+        t1 = time.perf_counter()
+        if self._sparse_program is None:
+            self._sparse_program = SparseProgram.compile(lp)
+        program = self._sparse_program
+        offered = self._sparse_state if config.warm_start else None
+        state = offered
+        width = len(nodes.sizes)
+        solves: List[Solution] = []
+        leaves: Dict[Tuple[int, ...], Solution] = {}
+
+        def evaluate(prefix: Tuple[int, ...]) -> float:
+            nonlocal state
+            if not nodes.fill(prefix):
+                return -np.inf
+            solution = program.solve(lp, state=state, collector=self.collector)
+            solves.append(solution)
+            if solution.status is SolveStatus.INFEASIBLE:
+                return -np.inf
+            if not solution.ok:
+                raise SolverError(
+                    f"level search node LP failed: {solution.status.value} "
+                    f"{solution.message}"
+                )
+            state = solution.state
+            if len(prefix) == width:
+                leaves[prefix] = solution
+            return -solution.objective
+
+        vector, _, _, exhausted = branch_and_bound_levels(
+            nodes.sizes, evaluate, max_evaluations=max_nodes
+        )
+        if config.warm_start:
+            self._sparse_state = solves[0].state if solves else None
+        if not exhausted:
+            raise SolverError(
+                f"level search hit its node budget of {max_nodes}"
+            )
+        if vector is None:
+            raise SolverError("level search found no feasible level vector")
+        t2 = time.perf_counter()
+        solution = leaves[vector]
+        nodes.fill(vector)  # the winner's LP, for its residuals
+        plan = nodes.decoder(solution.x)
+        fields = self._solved(lp, solution, offered is not None, build=t1 - t0,
+                              solve=t2 - t1, expand=time.perf_counter() - t2)
+        fields["nodes"] = len(solves)
+        fields["warm_start"] = self._warm_outcome(
+            offered is not None, solves[0].warm_start_used
+        )
+        fields["active_servers"] = self._active_servers(solution.x)
+        payload = None
+        if config.certify != "off":
+            mip, _ = self._build_milp(inputs)
+            levels = np.asarray(vector, dtype=int).reshape(
+                self.topology.num_classes, self.topology.num_datacenters
+            )
+            x = lift_to_milp(self.topology, solution.x, levels)
+            lifted = Solution(
+                status=SolveStatus.OPTIMAL, x=x,
+                objective=float(mip.lp.c @ x), nodes=len(solves),
+                iterations=solution.iterations, gap=0.0,
+            )
+            payload = {"problem": mip, "solution": lifted, "plan": plan}
         return plan, fields, payload
 
     def _build_milp(

@@ -57,8 +57,8 @@ class SlotTrace:
     ``0`` means the requested solver succeeded; ``n > 0`` means the
     ``n``-th stage of the optimizer's fallback chain rescued the slot
     (see ``OptimizerConfig.fallback``).  ``fallback_stage`` names the
-    winning stage (``"lp"``, ``"lp:highs"``, ``"greedy"``,
-    ``"balanced"``, ...).  ``failure`` concatenates the error messages
+    winning stage (``"lp"``, ``"levels"``, ``"lp:highs"``,
+    ``"milp:highs"``, ``"greedy"``, ``"balanced"``, ...).  ``failure`` concatenates the error messages
     of the stages that failed before the winning one (``""`` when the
     primary solve succeeded).  All three default so trace files written
     before these fields existed still round-trip.

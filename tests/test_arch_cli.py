@@ -6,6 +6,7 @@ actionable output.
 """
 
 import json
+from pathlib import Path
 
 from repro.cli import main
 
@@ -261,3 +262,15 @@ class TestInjectedRegression:
         out = capsys.readouterr().out
         assert "AR010" in out
         assert "repro.utils.rogue -> repro.core.plan" in out
+
+
+class TestUsagePaths:
+    def test_usage_path_extends_the_default_roots(self, monkeypatch, capsys):
+        # perfbench imports none of repro.solvers' exports; the default
+        # roots (tests, benchmarks, examples) still count their imports.
+        repo = Path(__file__).resolve().parents[1]
+        monkeypatch.chdir(repo)
+        main(["arch", "src", "--usage-path", "perfbench"])
+        out = capsys.readouterr().out
+        assert "BranchAndBoundSolver" not in out
+        assert "AR030" not in out

@@ -138,7 +138,9 @@ class TestFallbackChain:
         rng = np.random.default_rng(6)
         arrivals = rng.uniform(500.0, 2000.0, size=(2, 1))
         prices = np.array([0.08, 0.06])
-        optimizer = ProfitAwareOptimizer(multilevel_topology)
+        optimizer = ProfitAwareOptimizer(
+            multilevel_topology, config=OptimizerConfig(level_method="milp")
+        )
 
         def boom(*args, **kwargs):
             raise SolverError("injected MILP failure")
@@ -148,6 +150,42 @@ class TestFallbackChain:
         stats = optimizer.last_stats
         assert stats.fallback_stage == "greedy"
         assert plan.meets_deadlines()
+
+    def test_level_search_rescued_by_milp(self, multilevel_topology,
+                                          monkeypatch):
+        # The default multi-level stage fails -> the HiGHS MILP rescues
+        # the slot with the same optimum.
+        arrivals = np.array([[9000.0], [8000.0]])
+        prices = np.array([0.05, 0.09])
+        optimizer = ProfitAwareOptimizer(multilevel_topology)
+
+        def boom(*args, **kwargs):
+            raise SolverError("injected level search failure")
+
+        monkeypatch.setattr(optimizer, "_solve_levels", boom)
+        plan = optimizer.plan_slot(arrivals, prices)
+        stats = optimizer.last_stats
+        assert stats.method == "levels"
+        assert stats.fallback == 1
+        assert stats.fallback_stage == "milp:highs"
+        assert "injected level search failure" in stats.failure
+        assert plan.meets_deadlines()
+        reference = ProfitAwareOptimizer(multilevel_topology)
+        reference.plan_slot(arrivals, prices)
+        assert stats.objective == pytest.approx(
+            reference.last_stats.objective, rel=1e-9)
+
+    def test_level_search_node_budget_falls_back(self, multilevel_topology):
+        # One oracle call cannot exhaust the level tree.
+        optimizer = ProfitAwareOptimizer(
+            multilevel_topology,
+            config=OptimizerConfig(solver_iteration_budget=1),
+        )
+        optimizer.plan_slot(np.array([[9000.0], [8000.0]]),
+                            np.array([0.05, 0.09]))
+        stats = optimizer.last_stats
+        assert stats.fallback_stage == "milp:highs"
+        assert "node budget" in stats.failure
 
     def test_each_stage_gets_configured_retries(self, slot, monkeypatch):
         topo, arrivals, prices = slot

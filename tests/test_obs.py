@@ -230,8 +230,10 @@ ONE_RECORD_CASES = {
     "dense_lp": ("small_topology", np.full((2, 2), 40.0), {}, "lp"),
     "sparse": ("small_topology", np.full((2, 2), 40.0), {"sparse": True},
                "lp"),
-    "milp": ("multilevel_topology", np.array([[9000.0], [8000.0]]), {},
-             "milp"),
+    "levels": ("multilevel_topology", np.array([[9000.0], [8000.0]]), {},
+               "levels"),
+    "milp": ("multilevel_topology", np.array([[9000.0], [8000.0]]),
+             {"level_method": "milp"}, "milp"),
     "fallback": ("small_topology", np.full((2, 2), 40.0),
                  {"lp_method": "simplex", "solver_iteration_budget": 1},
                  "lp:highs"),

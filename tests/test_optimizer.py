@@ -80,20 +80,42 @@ class TestMultiLevelPaths:
         prices = np.array([0.05, 0.09])
         return multilevel_topology, arrivals, prices
 
-    def test_auto_selects_milp(self, setup):
+    def test_auto_selects_level_search(self, setup):
         topo, arrivals, prices = setup
         opt = ProfitAwareOptimizer(topo)
         opt.plan_slot(arrivals, prices)
-        assert opt.last_stats.method == "milp"
+        assert opt.last_stats.method == "levels"
+        assert opt.last_stats.fallback_stage == "levels"
+        assert opt.last_stats.nodes >= 1
         assert opt.last_stats.num_variables > 0
+
+    def test_auto_per_server_selects_milp(self, setup):
+        # Per-server level vectors may mix levels inside a data center,
+        # which the aggregated level search cannot express.
+        topo, arrivals, prices = setup
+        opt = ProfitAwareOptimizer(
+            topo, config=OptimizerConfig(formulation="per_server"))
+        opt.plan_slot(arrivals, prices)
+        assert opt.last_stats.method == "milp"
+        assert opt.last_stats.fallback_stage == "milp"
 
     def test_milp_bb_matches_highs(self, setup):
         topo, arrivals, prices = setup
-        a = profits(topo, ProfitAwareOptimizer(topo, config=OptimizerConfig(milp_method="highs")),
-                    arrivals, prices)
-        b = profits(topo, ProfitAwareOptimizer(topo, config=OptimizerConfig(milp_method="bb")),
-                    arrivals, prices)
+        a = profits(topo, ProfitAwareOptimizer(topo, config=OptimizerConfig(
+            level_method="milp", milp_method="highs")), arrivals, prices)
+        b = profits(topo, ProfitAwareOptimizer(topo, config=OptimizerConfig(
+            level_method="milp", milp_method="bb")), arrivals, prices)
         assert a == pytest.approx(b, rel=1e-6)
+
+    def test_level_search_matches_milp(self, setup):
+        topo, arrivals, prices = setup
+        search = ProfitAwareOptimizer(topo)
+        milp = ProfitAwareOptimizer(
+            topo, config=OptimizerConfig(level_method="milp"))
+        search.plan_slot(arrivals, prices)
+        milp.plan_slot(arrivals, prices)
+        assert search.last_stats.objective == pytest.approx(
+            milp.last_stats.objective, rel=1e-9)
 
     def test_greedy_close_to_milp(self, setup):
         topo, arrivals, prices = setup
@@ -129,7 +151,7 @@ class TestMultiLevelPaths:
         opt.plan_slot(arrivals, prices)
         assert opt.last_stats.lp_evaluations >= 1
 
-    @pytest.mark.parametrize("level_method", ["milp", "greedy", "bigm"])
+    @pytest.mark.parametrize("level_method", ["auto", "milp", "greedy", "bigm"])
     def test_recorded_objective_is_plan_profit(self, setup, level_method):
         # Without the spare-capacity pass the returned plan is the one
         # the stage scored, so the record's objective is its profit.

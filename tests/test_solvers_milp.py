@@ -1,5 +1,7 @@
 """Tests for branch-and-bound MILP, penalty NLP, and level search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from repro.solvers.base import (
     SolveStatus,
 )
 from repro.solvers.branch_bound import BranchAndBoundSolver, solve_milp
-from repro.solvers.levels import coordinate_descent_levels
+from repro.solvers.levels import (
+    branch_and_bound_levels,
+    coordinate_descent_levels,
+)
 from repro.solvers.penalty import NonlinearProgram, PenaltySolver
 
 
@@ -239,3 +244,99 @@ class TestCoordinateDescentLevels:
             coordinate_descent_levels([0], lambda v: 0.0)
         with pytest.raises(ValueError):
             coordinate_descent_levels([2], lambda v: 0.0, initial=[5])
+
+
+def _separable_oracle(values, calls=None):
+    """Node oracle over a table of per-(position, level) values: a
+    prefix's bound adds each free position's best value."""
+    def evaluate(prefix):
+        if calls is not None:
+            calls.append(prefix)
+        fixed = sum(values[p][q] for p, q in enumerate(prefix))
+        free = sum(max(row) for row in values[len(prefix):])
+        return fixed + free
+    return evaluate
+
+
+class TestBranchAndBoundLevels:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_enumeration_on_coupled_objectives(self, seed):
+        # f(v) = sum_p a[p][v_p] + sum_{p<r} b[p][r][v_p][v_r] with
+        # b <= 0: a prefix's bound counts the free positions' best a
+        # and no pair that touches a free position.
+        rng = np.random.default_rng(seed)
+        sizes = list(rng.integers(1, 4, size=4))
+        a = [rng.normal(size=n) for n in sizes]
+        b = {(p, r): -rng.exponential(size=(sizes[p], sizes[r]))
+             for p in range(4) for r in range(p + 1, 4)}
+
+        def evaluate(prefix):
+            d = len(prefix)
+            value = sum(a[p][q] for p, q in enumerate(prefix))
+            value += sum(a[p].max() for p in range(d, 4))
+            value += sum(b[p, r][prefix[p], prefix[r]]
+                         for p in range(d) for r in range(p + 1, d))
+            return value
+
+        best, value, evals, exhausted = branch_and_bound_levels(
+            sizes, evaluate)
+        vectors = list(itertools.product(*(range(n) for n in sizes)))
+        reference = max(vectors, key=evaluate)
+        assert exhausted
+        assert value == evaluate(reference)
+        assert best == reference
+        assert evals <= 1 + sum(np.cumprod(sizes))
+
+    def test_prunes_dominated_subtrees(self):
+        values = [[5.0, 1.0], [4.0, 0.0], [3.0, 2.0]]
+        calls = []
+        best, value, evals, exhausted = branch_and_bound_levels(
+            [2, 2, 2], _separable_oracle(values, calls))
+        assert (best, value, exhausted) == ((0, 0, 0), 12.0, True)
+        # The first dive reaches the optimum; every sibling's bound is
+        # then no better, so nothing else is evaluated.
+        assert calls == [(), (0,), (0, 0), (0, 0, 0)]
+        assert evals == 4
+
+    def test_one_choice_positions_cost_no_evaluation(self):
+        calls = []
+        best, _, evals, _ = branch_and_bound_levels(
+            [1, 2, 1], _separable_oracle([[1.0], [0.0, 2.0], [3.0]], calls))
+        assert best == (0, 1, 0)
+        assert all(len(prefix) in (1, 3) for prefix in calls)
+        assert evals == 3
+
+    def test_infeasible_nodes_are_pruned(self):
+        def evaluate(prefix):
+            if prefix[:1] == (0,):
+                return -np.inf
+            return float(sum(prefix) + 2 - len(prefix))
+
+        best, value, _, exhausted = branch_and_bound_levels([2, 2], evaluate)
+        assert exhausted
+        assert best == (1, 1)
+        assert value == 2.0
+
+    def test_no_feasible_leaf(self):
+        best, value, evals, exhausted = branch_and_bound_levels(
+            [2, 2], lambda prefix: -np.inf)
+        assert best is None
+        assert value == -np.inf
+        assert evals == 1
+        assert exhausted
+
+    def test_budget_reports_an_unfinished_tree(self):
+        values = [[1.0, 5.0], [1.0, 5.0]]
+        best, _, evals, exhausted = branch_and_bound_levels(
+            [2, 2], _separable_oracle(values), max_evaluations=2)
+        assert evals == 2
+        assert not exhausted
+
+    def test_ties_resolve_to_the_first_level(self):
+        best, _, _, _ = branch_and_bound_levels(
+            [3, 3], lambda prefix: 0.0)
+        assert best == (0, 0)
+
+    def test_validates_sizes(self):
+        with pytest.raises(ValueError):
+            branch_and_bound_levels([2, 0], lambda prefix: 0.0)
