@@ -375,6 +375,10 @@ class FixedLevelLPCache:
 
         upper = np.full(n_vars, np.inf)
         upper[n_lam:] = np.tile(M, K)
+        # Nothing is dispatched to a data center without servers.  Its
+        # delay and share rows force that already; as a bound it is a
+        # fixed variable, which no solver's row tolerance can move.
+        upper[:n_lam].reshape(K, S, L)[:, :, M == 0] = 0.0
         self._upper = upper
 
         b = np.empty(self._a_ub.shape[0])
@@ -511,9 +515,11 @@ class LevelFill:
         self._n_lam = K * topo.num_frontends * L
         self._T = inputs.slot_duration
         self._cost = inputs.cost_per_request()  # (K, S, L)
-        self._M = topo.servers_per_datacenter.astype(float)  # (L,)
+        M = topo.servers_per_datacenter.astype(float)  # (L,)
+        self._neg_M = -M
         self._mu_cap = topo.service_rates * topo.server_capacities[None, :]
-        self._hosted = self._M > 0
+        self._hosted = M > 0
+        self._positions = np.arange(K * L)
         # Per-(position, level) utility and effective sub-deadline, as
         # in _level_tables; a free position takes its class's highest
         # utility and loosest sub-deadline (a valid bound: a higher
@@ -550,19 +556,22 @@ class LevelFill:
         utility = self._free_utility.copy()
         deadline = self._free_deadline.copy()
         if depth:
-            positions = np.arange(depth)
-            levels = np.asarray(prefix, dtype=int)
+            positions = self._positions[:depth]
+            levels = np.asarray(prefix)
             utility[:depth] = self._utility[positions, levels]
             deadline[:depth] = self._deadline[positions, levels]
-        utility = utility.reshape(self._shape)
-        deadline = deadline.reshape(self._shape)
-        margin = 1.0 - (1.0 / (deadline * self._mu_cap)).sum(axis=0)
-        if np.any(self._hosted & (margin < 0)):
+        K, L = shape = self._shape
+        utility = utility.reshape(shape)
+        deadline = deadline.reshape(shape)
+        margin = 1.0 - np.add.reduce(1.0 / (deadline * self._mu_cap), axis=0)
+        if np.count_nonzero(self._hosted & (margin < 0)):
             return False
-        K, L = self._shape
-        net = utility[:, None, :] - self._cost
-        self.lp.c[:self._n_lam] = (-self._T * net).ravel()
-        self.lp.b_ub[:K * L] = (-self._M / deadline).ravel()
+        # Written in place: c's dispatch block and b_ub's delay rows.
+        net = self.lp.c[:self._n_lam].reshape(self._cost.shape)
+        np.subtract(utility[:, None, :], self._cost, out=net)
+        np.multiply(-self._T, net, out=net)
+        delay_rhs = self.lp.b_ub[:K * L].reshape(shape)
+        np.divide(self._neg_M, deadline, out=delay_rhs)
         return True
 
 

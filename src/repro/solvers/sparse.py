@@ -27,6 +27,12 @@ the CSR constraint matrices built by
   simplex restarts from it directly (RHS-only); when the objective
   changed, nonbasic variables are flipped to their dual-feasible bound
   first.  Only a restart whose point is not yet optimal pivots.
+* **paid once per basis** — a basis inverse depends only on the basis
+  and the compiled matrix, so the program memoizes fresh inverses
+  (:meth:`SparseProgram.inverse`): a restart from a basis the program
+  has factored before inverts nothing.  Every product with the sparse
+  matrix calls scipy's own kernel directly (:func:`_matvec`).  Neither
+  changes a byte of any result.
 
 Servers are homogeneous within a data center, so the slot LP the
 optimizer compiles is the symmetry collapse: ``K*L + L + K*S`` rows by
@@ -41,11 +47,13 @@ the property-based test harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy import sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from repro.obs.collectors import NULL_COLLECTOR, Collector
 from repro.solvers.base import (
@@ -84,6 +92,10 @@ _PIVOT_TOL = PIVOT_TOL
 #: are what actually reject a numerically broken solve.
 _CONDITION_LIMIT = 1e12
 
+#: Byte budget of one compiled program's memo of fresh basis inverses
+#: (:meth:`SparseProgram.inverse`); past it the oldest entry goes first.
+_INVERSE_MEMO_BYTES = 8 << 20
+
 # Nonbasic-at-lower / nonbasic-at-upper / basic variable statuses.
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
@@ -98,6 +110,25 @@ def _as_csr(a: object) -> "sp.csr_matrix":
     if sp.issparse(a):
         return a.tocsr()
     return sp.csr_matrix(np.asarray(a, dtype=float))
+
+
+def _matvec(a: "sp.csr_matrix | sp.csc_matrix", x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a CSR or CSC matrix ``a`` and a float64 vector ``x``.
+
+    Runs the scipy kernel that ``a @ x`` ends in (``csr_matvec`` or
+    ``csc_matvec``, accumulating into zeros) without the operator's
+    dispatch: the same bytes at a fraction of the call overhead.
+    """
+    m, n = a.shape
+    out = np.zeros(m)
+    kernel = csr_matvec if a.format == "csr" else csc_matvec
+    kernel(m, n, a.indptr, a.indices, a.data, x, out)
+    return out
+
+
+def _equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal(a, b)`` for two ndarrays, without its wrapper."""
+    return a.shape == b.shape and not np.count_nonzero(a != b)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +148,17 @@ class ImpliedBounds:
     """
 
     #: Row, column, coefficient, row activity at the lower bounds, and
-    #: column lower bound of each bounding entry (CSR entry order).
+    #: column lower bound of each bounding entry, sorted by column (CSR
+    #: entry order within a column).
     rows: np.ndarray
     cols: np.ndarray
     coef: np.ndarray
     row_act: np.ndarray
     col_lower: np.ndarray
+    #: The columns that have bounding entries, and where each one's run
+    #: of entries starts.
+    present: np.ndarray
+    starts: np.ndarray
     #: The compiled program's variable bounds.
     lower: np.ndarray
     upper: np.ndarray
@@ -148,13 +184,20 @@ class ImpliedBounds:
         np.minimum.at(row_min, entry_row, data)
         row_act = np.zeros(m)
         np.add.at(row_act, entry_row, data * lower[indices])
-        valid = (row_min >= 0.0)[entry_row] & (data > _TOL)
+        valid = np.flatnonzero((row_min >= 0.0)[entry_row] & (data > _TOL))
+        # A stable sort keeps each column's entries in CSR order, the
+        # order in which evaluate's per-column minimum folds them.
+        entries = valid[np.argsort(indices[valid], kind="stable")]
+        cols = indices[entries]
+        starts = np.flatnonzero(np.diff(cols, prepend=-1))
         return cls(
-            rows=entry_row[valid],
-            cols=indices[valid],
-            coef=data[valid],
-            row_act=row_act[entry_row[valid]],
-            col_lower=lower[indices[valid]],
+            rows=entry_row[entries],
+            cols=cols,
+            coef=data[entries],
+            row_act=row_act[entry_row[entries]],
+            col_lower=lower[cols],
+            present=cols[starts],
+            starts=starts,
             lower=lower,
             upper=upper,
         )
@@ -164,17 +207,21 @@ class ImpliedBounds:
     ) -> Optional[np.ndarray]:
         """Finite upper bounds (float64) under ``c``/``b_ub``, or ``None``.
 
-        Each upper bound is tightened by every bound ``b_ub`` implies;
-        ``None`` when a variable with a negative objective coefficient
-        stays unboxed.
+        Each upper bound is tightened by every finite bound ``b_ub``
+        implies; ``None`` when a variable with a negative objective
+        coefficient stays unboxed.
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            implied = (b_ub[self.rows] - self.row_act) / self.coef + self.col_lower
+            implied = b_ub[self.rows] - self.row_act
+            implied /= self.coef
+            implied += self.col_lower
+        # A non-finite bound bounds nothing: +inf leaves every minimum as is.
+        implied[~np.isfinite(implied)] = np.inf
         cand = np.full(self.upper.size, np.inf)
-        ok = np.isfinite(implied)
-        np.minimum.at(cand, self.cols[ok], implied[ok])
+        if self.starts.size:
+            cand[self.present] = np.minimum.reduceat(implied, self.starts)
         upper = np.minimum(self.upper, np.maximum(cand, self.lower))
-        if np.any((c < 0) & ~np.isfinite(upper)):
+        if np.count_nonzero((c < 0) & ~np.isfinite(upper)):
             return None
         return upper
 
@@ -213,18 +260,27 @@ class SparseProgram:
 
     Built once by :meth:`compile`; :meth:`solve` accepts every LP that
     :meth:`matches` it — in the controller, every slot LP refilled from
-    the same :class:`~repro.core.formulation.FixedLevelLPCache`.
+    the same :class:`~repro.core.formulation.FixedLevelLPCache`, and
+    every node LP of the level search.  The program also keeps the
+    fresh inverse of every basis its restarts and refactorizations
+    visit (:meth:`inverse`), within :data:`_INVERSE_MEMO_BYTES`: the
+    controller's tokens revisit a few bases many times.
     """
 
     matrix: "sp.csr_matrix"
     csc: "sp.csc_matrix"
     transpose: "sp.csc_matrix"
+    #: Numbers of structural variables and of inequality rows.
+    n: int
+    m: int
     #: The compiled program's variable bounds.
     lower: np.ndarray
     upper: np.ndarray
     #: Implied-upper-bound entry map over :attr:`matrix`; ``None`` when
     #: a lower bound is infinite (the program never boxes).
     bounds: Optional[ImpliedBounds]
+    #: Where the compiled upper bounds are infinite.
+    unbounded: np.ndarray
     #: Lower bounds over structural then slack variables.
     lower_ext: np.ndarray
     #: The cold start: the all-slack basis, its statuses (structurals
@@ -232,6 +288,11 @@ class SparseProgram:
     cold_basis: np.ndarray
     cold_status: np.ndarray
     identity: np.ndarray
+    #: Fresh basis inverses by ``basis.tobytes()``, oldest first
+    #: (read-only; see :meth:`inverse`).
+    inverses: Dict[bytes, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def compile(cls, lp: LinearProgram) -> "SparseProgram":
@@ -252,23 +313,38 @@ class SparseProgram:
         cold_status[n:] = _BASIC
         return cls(
             matrix=matrix, csc=matrix.tocsc(), transpose=matrix.T,
-            lower=lower, upper=upper,
+            n=n, m=m, lower=lower, upper=upper,
             bounds=ImpliedBounds.compile(matrix, lower, upper),
+            unbounded=~np.isfinite(upper),
             lower_ext=np.concatenate([lower, np.zeros(m)]),
             cold_basis=n + np.arange(m),
             cold_status=cold_status,
             identity=np.eye(m),
         )
 
-    @property
-    def n(self) -> int:
-        """Number of structural variables."""
-        return int(self.matrix.shape[1])
+    def inverse(self, basis: np.ndarray) -> Optional[np.ndarray]:
+        """Inverse (float64) of the basis matrix ``[A | I][:, basis]``, or
+        ``None``.
 
-    @property
-    def m(self) -> int:
-        """Number of inequality rows."""
-        return int(self.matrix.shape[0])
+        A copy the caller may update in place.  An inverse is a pure
+        function of the basis and the compiled matrix, so each one is
+        factored once (:func:`_factor`) and memoized by the basis bytes
+        within :data:`_INVERSE_MEMO_BYTES`, dropping the oldest entry
+        first; a singular basis is not stored.
+        """
+        key = basis.tobytes()
+        inv = self.inverses.get(key)
+        if inv is None:
+            inv = _factor(self, basis)
+            if inv is None:
+                return None
+            memo, size = self.inverses, inv.nbytes
+            if size <= _INVERSE_MEMO_BYTES:
+                while memo and (len(memo) + 1) * size > _INVERSE_MEMO_BYTES:
+                    del memo[next(iter(memo))]
+                inv.flags.writeable = False
+                memo[key] = inv
+        return inv.copy()
 
     def matches(self, lp: LinearProgram) -> bool:
         """True when ``lp`` has the compiled matrix and bounds and no
@@ -284,10 +360,7 @@ class SparseProgram:
                 and np.array_equal(a.data, ref.data)
             ):
                 return False
-        return bool(
-            np.array_equal(lp.lower, self.lower)
-            and np.array_equal(lp.upper, self.upper)
-        )
+        return _equal(lp.lower, self.lower) and _equal(lp.upper, self.upper)
 
     def solve(
         self,
@@ -369,6 +442,7 @@ def _factor(program: SparseProgram, basis: np.ndarray) -> Optional[np.ndarray]:
 
     Gathers every structural basis column from the CSC at once;
     ``None`` when the basis is singular or its inverse non-finite.
+    Solves reach it through the memo of :meth:`SparseProgram.inverse`.
     """
     n, m, ac = program.n, program.m, program.csc
     b_mat = np.zeros((m, m))
@@ -423,6 +497,8 @@ class _Restart:
     #: upper bounds are this slot's boxed ones.
     c_ext: np.ndarray
     upper: np.ndarray
+    #: :attr:`upper` with its infinite entries at 0.
+    upper_at: np.ndarray
     basis: np.ndarray
     vstat: np.ndarray
     binv: np.ndarray
@@ -430,14 +506,18 @@ class _Restart:
     warm: bool
     #: Pivot budget.
     limit: int
+    #: The duals ``y`` and reduced costs ``d`` at the current basis, when
+    #: already computed (by the warm start's flip; a pivot clears them).
+    duals: Optional[Tuple[np.ndarray, np.ndarray]] = None
     #: OPTIMAL, a failure, or ``None`` while pivots are needed.
     status: Optional[SolveStatus] = None
     message: str = ""
-    #: Primal point and basic bound violations at the current basis
-    #: (set by :func:`_primal_point`).
+    #: Primal point, basic bound violations and their elementwise
+    #: maximum at the current basis (set by :func:`_primal_point`).
     x: np.ndarray = field(init=False)
     viol_low: np.ndarray = field(init=False)
     viol_up: np.ndarray = field(init=False)
+    viol: np.ndarray = field(init=False)
     #: Terminal structural point, clipped to the original bounds.
     point: np.ndarray = field(init=False)
 
@@ -463,24 +543,26 @@ def _restart(
     if boxed_upper is None:
         return None
     n, m = program.n, program.m
-    c_ext = np.concatenate([c, np.zeros(m)])
-    upper = np.concatenate([boxed_upper, np.full(m, np.inf)])
-    start = _warm_start(program, c, c_ext, upper, state)
-    warm = start is not None
-    if start is None:
+    c_ext = np.zeros(n + m)
+    c_ext[:n] = c
+    upper = np.empty(n + m)
+    upper[:n] = boxed_upper
+    upper[n:] = np.inf
+    r = _warm_start(program, c, b_ub, c_ext, upper, state)
+    if r is None:
         # Cold start: all-slack basis, nonbasics at their dual-feasible
         # bound.  Boxing guarantees the c<0 variables have one.
         vstat = program.cold_status.copy()
         vstat[:n][c < 0] = _AT_UPPER
-        start = (program.cold_basis.copy(), vstat, program.identity.copy())
-    basis, vstat, binv = start
-    r = _Restart(
-        program=program, c=c, b_ub=b_ub, c_ext=c_ext, upper=upper,
-        basis=basis, vstat=vstat, binv=binv, warm=warm,
-        limit=(
-            int(max_iterations) if max_iterations is not None
-            else 200 + 50 * (m + n)
-        ),
+        r = _Restart(
+            program=program, c=c, b_ub=b_ub, c_ext=c_ext, upper=upper,
+            upper_at=np.where(np.isfinite(upper), upper, 0.0),
+            basis=program.cold_basis.copy(), vstat=vstat,
+            binv=program.identity.copy(), warm=False, limit=0,
+        )
+    r.limit = (
+        int(max_iterations) if max_iterations is not None
+        else 200 + 50 * (m + n)
     )
     _judge(r, _primal_point(r))
     return r
@@ -489,11 +571,12 @@ def _restart(
 def _warm_start(
     program: SparseProgram,
     c: np.ndarray,
+    b_ub: np.ndarray,
     c_ext: np.ndarray,
     upper: np.ndarray,
     state: Optional[SolverState],
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Basis, statuses and basis inverse restored from ``state``.
+) -> Optional[_Restart]:
+    """The restart from ``state``'s basis, statuses and basis inverse.
 
     ``None`` (start cold) unless the token's method, signature, shapes,
     index range and basic statuses check out, no nonbasic sits at an
@@ -517,48 +600,60 @@ def _warm_start(
         return None
     if basis.min(initial=0) < 0 or basis.max(initial=0) >= n + m:
         return None
-    if int((vstat == _BASIC).sum()) != m or not np.all(vstat[basis] == _BASIC):
+    if np.count_nonzero(vstat == _BASIC) != m or np.count_nonzero(
+        vstat[basis] != _BASIC
+    ):
         return None
-    unbounded = ~np.isfinite(upper)
+    finite = np.isfinite(upper)
+    unbounded = ~finite
     # A nonbasic-at-upper variable needs a finite bound to sit on.
-    if np.any((vstat[:n] == _AT_UPPER) & unbounded[:n]):
+    if np.count_nonzero((vstat[:n] == _AT_UPPER) & unbounded[:n]):
         return None
-    binv = _factor(program, basis)
+    binv = program.inverse(basis)
     if binv is None:
         return None
+    duals = None
     dual = state.dual
-    if dual is None or np.shape(dual) != (n,) or not np.array_equal(dual, c):
+    if dual is None or not _equal(np.asarray(dual), c):
         # Objective changed: re-establish dual feasibility by flipping
         # nonbasic variables onto the bound their new reduced cost
         # prefers (a bound flip moves no basis).
         y = c_ext[basis] @ binv
         d = c_ext.copy()
-        d[:n] -= program.transpose @ y
+        d[:n] -= _matvec(program.transpose, y)
         d[n:] -= y
         flip_up = (vstat == _AT_LOWER) & (d < -_TOL)
         flip_down = (vstat == _AT_UPPER) & (d > _TOL)
         # A flip onto an infinite bound starts cold (a boxed program has
         # finite lower bounds, so only an upper one can be).
-        if np.any(flip_up & unbounded):
+        if np.count_nonzero(flip_up & unbounded):
             return None
         vstat[flip_up] = _AT_UPPER
         vstat[flip_down] = _AT_LOWER
-    return basis, vstat, binv
+        duals = (y, d)
+    return _Restart(
+        program=program, c=c, b_ub=b_ub, c_ext=c_ext, upper=upper,
+        upper_at=np.where(finite, upper, 0.0),
+        basis=basis, vstat=vstat, binv=binv, warm=True, limit=0,
+        duals=duals,
+    )
 
 
 def _primal_point(r: _Restart) -> float:
     """Set the primal point at ``r``'s basis; return its worst violation."""
     program = r.program
     lower, upper, basis = program.lower_ext, r.upper, r.basis
-    x = np.where(r.vstat == _AT_UPPER, upper, lower)
-    x[~np.isfinite(x)] = 0.0
+    # Nonbasics sit at a bound; one at an infinite upper bound counts as
+    # 0 (the lower bounds are finite: the program boxed).
+    x = np.where(r.vstat == _AT_UPPER, r.upper_at, lower)
     x[basis] = 0.0
-    rhs_eff = r.b_ub - program.matrix @ x[:program.n]
-    x[basis] = r.binv @ rhs_eff
+    x_basic = r.binv @ (r.b_ub - _matvec(program.matrix, x[:program.n]))
+    x[basis] = x_basic
     r.x = x
-    r.viol_low = lower[basis] - x[basis]
-    r.viol_up = x[basis] - upper[basis]
-    return float(np.maximum(r.viol_low, r.viol_up).max(initial=0.0))
+    r.viol_low = lower[basis] - x_basic
+    r.viol_up = x_basic - upper[basis]
+    r.viol = np.maximum(r.viol_low, r.viol_up)
+    return float(np.maximum.reduce(r.viol, initial=0.0))
 
 
 def _judge(r: _Restart, worst: float) -> None:
@@ -569,7 +664,7 @@ def _judge(r: _Restart, worst: float) -> None:
     original bounds, checked against ``FEASIBILITY_TOL``; otherwise the
     status stays ``None``.
     """
-    if not np.isfinite(worst):
+    if not math.isfinite(worst):
         r.status, r.message = (
             SolveStatus.NUMERICAL_ERROR, "non-finite basic solution"
         )
@@ -577,14 +672,15 @@ def _judge(r: _Restart, worst: float) -> None:
     if worst > OPTIMALITY_TOL:
         return
     program = r.program
-    point = r.x[:program.n].copy()
-    np.clip(point, program.lower, program.upper, out=point)
+    point = np.clip(r.x[:program.n], program.lower, program.upper)
     r.point = point
     # Worst bound and row violations (a NaN fails the check).
-    bound = np.maximum(program.lower - point, point - program.upper).max(
-        initial=0.0
+    bound = np.maximum.reduce(
+        np.maximum(program.lower - point, point - program.upper), initial=0.0
     )
-    row = (program.matrix @ point - r.b_ub).max(initial=0.0)
+    row = np.maximum.reduce(
+        _matvec(program.matrix, point) - r.b_ub, initial=0.0
+    )
     if bound <= FEASIBILITY_TOL and row <= FEASIBILITY_TOL:
         r.status = SolveStatus.OPTIMAL
     else:
@@ -609,7 +705,7 @@ def _pivot(r: _Restart, collector: Optional[Collector]) -> int:
     n, ac, at = program.n, program.csc, program.transpose
     c_ext, upper = r.c_ext, r.upper
     basis, vstat, binv = r.basis, r.vstat, r.binv
-    fixed = upper - program.lower_ext <= _TOL
+    movable = ~(upper - program.lower_ext <= _TOL)
     alpha = np.empty(n + program.m)  # pivot-row scratch, reused every pivot
 
     def stop(status: SolveStatus, message: str) -> int:
@@ -624,35 +720,36 @@ def _pivot(r: _Restart, collector: Optional[Collector]) -> int:
                 SolveStatus.ITERATION_LIMIT,
                 f"dual simplex hit {r.limit} iterations",
             )
-        viol_low, viol_up = r.viol_low, r.viol_up
-        viol = np.maximum(viol_low, viol_up)
-        i = int(np.argmax(viol))
-        below = viol_low[i] >= viol_up[i]
+        i = int(r.viol.argmax())
+        below = r.viol_low[i] >= r.viol_up[i]
         rho = binv[i]
-        alpha[:n] = at @ rho
+        alpha[:n] = _matvec(at, rho)
         alpha[n:] = rho
-        y = c_ext[basis] @ binv
-        d = c_ext.copy()
-        d[:n] -= at @ y
-        d[n:] -= y
+        if r.duals is None:
+            y = c_ext[basis] @ binv
+            d = c_ext.copy()
+            d[:n] -= _matvec(at, y)
+            d[n:] -= y
+        else:
+            d = r.duals[1]
 
         abar = alpha if below else -alpha
-        eligible = ~fixed & (
+        eligible = movable & (
             ((vstat == _AT_LOWER) & (abar < -_TOL))
             | ((vstat == _AT_UPPER) & (abar > _TOL))
         )
         eligible[basis] = False
-        if not np.any(eligible):
+        idx = eligible.nonzero()[0]
+        if not idx.size:
             return stop(
                 SolveStatus.INFEASIBLE,
                 "dual simplex: no entering column (primal infeasible)",
             )
-        idx = np.flatnonzero(eligible)
         ratios = d[idx] / -abar[idx]
-        ratios = np.maximum(ratios, 0.0)  # clamp dual-feasibility roundoff
-        best = float(ratios.min())
+        np.maximum(ratios, 0.0, out=ratios)  # clamp dual-feasibility roundoff
+        best = float(np.minimum.reduce(ratios))
         near = idx[ratios <= best + _TOL]
-        q = int(near[np.argmax(np.abs(abar[near]))])
+        q = int(near[np.abs(abar[near]).argmax()])
 
         if q < n:
             start, end = ac.indptr[q], ac.indptr[q + 1]
@@ -665,19 +762,19 @@ def _pivot(r: _Restart, collector: Optional[Collector]) -> int:
         vstat[leaving] = _AT_LOWER if below else _AT_UPPER
         vstat[q] = _BASIC
         basis[i] = q
+        r.duals = None
         binv[i, :] /= u[i]
-        col = u.copy()
-        col[i] = 0.0
-        binv -= np.outer(col, binv[i])
+        u[i] = 0.0
+        binv -= u[:, None] * binv[i]
         iterations += 1
         since_refactor += 1
-        if not np.all(np.isfinite(binv)):
+        if np.count_nonzero(np.isfinite(binv)) != binv.size:
             # Sanitizer: the eta update blew up (overflow/NaN through a
             # tiny pivot).  Refactorize from scratch immediately — the
             # product-form error is discarded — and only give up when
             # the basis itself is singular or non-finite.
             _count(collector, "sparse.nonfinite_guard_trips")
-            fresh = _factor(program, basis)
+            fresh = program.inverse(basis)
             if fresh is None:
                 return stop(
                     SolveStatus.NUMERICAL_ERROR,
@@ -686,7 +783,7 @@ def _pivot(r: _Restart, collector: Optional[Collector]) -> int:
             r.binv = binv = fresh
             since_refactor = 0
         if since_refactor >= 100:
-            fresh = _factor(program, basis)
+            fresh = program.inverse(basis)
             if fresh is None:
                 return stop(
                     SolveStatus.NUMERICAL_ERROR,
@@ -729,15 +826,21 @@ def _optimum(
     # implying the bound, and emitting it as-is would fail an
     # independent reduced-cost certificate.  Degrade to primal-only in
     # that case.
-    y = r.c_ext[r.basis] @ r.binv
+    if r.duals is None:
+        y, d = r.c_ext[r.basis] @ r.binv, None
+    else:
+        y, d = r.duals
     marginals: Optional[np.ndarray] = y
-    at_box = (r.vstat[:n] == _AT_UPPER) & ~np.isfinite(program.upper)
-    if np.any(at_box):
-        d_box = r.c[at_box] - (program.transpose @ y)[at_box]
+    at_box = (r.vstat[:n] == _AT_UPPER) & program.unbounded
+    if np.count_nonzero(at_box):
+        if d is None:
+            d_box = r.c[at_box] - _matvec(program.transpose, y)[at_box]
+        else:
+            d_box = d[:n][at_box]
         tol_box = OPTIMALITY_TOL * max(
             1.0, float(np.abs(r.c).max(initial=0.0))
         )
-        if np.any(d_box < -tol_box):
+        if np.count_nonzero(d_box < -tol_box):
             marginals = None
     return Solution(
         status=SolveStatus.OPTIMAL,
@@ -748,7 +851,7 @@ def _optimum(
         state=SolverState(
             method="sparse",
             signature=(n, program.m, 0),
-            basis=r.basis.copy(),
+            basis=r.basis,
             slack=r.vstat.astype(float),
             dual=r.c.copy(),
             point=x.copy(),

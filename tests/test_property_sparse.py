@@ -14,6 +14,7 @@ simplex kept below.
 
 from dataclasses import replace
 from typing import Optional, Tuple
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -900,3 +901,215 @@ class TestStackedRestartMatchesOneProgramSimplex:
         assert _sparse_counters(got_c) == _sparse_counters(ref_c)
         assert got_c.counters["sparse.cold_solves"] == 1
         assert "sparse.warm_hits" not in got_c.counters
+
+
+# ---------------------------------------------------------------------------
+# The memo of fresh basis inverses, the direct kernels and the boxing map
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def programs_with_bases(draw, count=(1, 12)):
+    """A compiled boxable program and bases over its ``n + m`` columns
+    (repeats and singular ones included)."""
+    lp, _ = draw(boxable_lp_pairs())
+    n, m = lp.num_variables, lp.a_ub.shape[0]
+    basis = st.lists(st.integers(0, n + m - 1), min_size=m, max_size=m,
+                     unique=True).map(lambda b: np.array(b, dtype=int))
+    bases = draw(st.lists(basis, min_size=count[0], max_size=count[1]))
+    if bases:
+        # Revisit a drawn basis so the memo serves a hit.
+        bases.append(bases[draw(st.integers(0, len(bases) - 1))].copy())
+    return lp, SparseProgram.compile(lp), bases
+
+
+def _reference_inverse(program, basis):
+    return _basis_inverse(program.csc, basis, program.n, program.m)
+
+
+def _singular_basis(lp):
+    """Slacks on every row but ``r0`` plus a column that misses row
+    ``r0`` (or that slack twice, when every column meets every row)."""
+    n, m = lp.num_variables, lp.a_ub.shape[0]
+    basis = n + np.arange(m)
+    misses = np.argwhere(lp.a_ub.toarray().T == 0.0)
+    if misses.size:
+        j, r0 = misses[0]
+        basis[r0] = j
+    else:
+        basis[1] = basis[0]
+    return basis
+
+
+def _implied_upper_reference(a_ub, lower, upper, c, b_ub):
+    """Implied-upper-bound boxing entry by entry, in CSR order.
+
+    The fold the reduce of ``ImpliedBounds.evaluate`` must reproduce:
+    per column, ``np.minimum`` over each finite implied bound in CSR
+    entry order, starting from +inf.
+    """
+    if not np.all(np.isfinite(lower)):
+        return None
+    a = sparse.csr_matrix(a_ub)
+    cand = np.full(lower.size, np.inf)
+    for r in range(a.shape[0]):
+        start, end = a.indptr[r], a.indptr[r + 1]
+        cols, coef = a.indices[start:end], a.data[start:end]
+        if coef.size and coef.min() < 0.0:
+            continue
+        act = 0.0
+        for j, v in zip(cols, coef):
+            act += v * lower[j]
+        for j, v in zip(cols, coef):
+            if not v > _TOL:
+                continue
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                implied = (b_ub[r] - act) / v + lower[j]
+            if np.isfinite(implied):
+                cand[j] = np.minimum(cand[j], implied)
+    out = np.minimum(upper, np.maximum(cand, lower))
+    if np.any((c < 0) & ~np.isfinite(out)):
+        return None
+    return out
+
+
+class TestInverseMemo:
+    @given(case=programs_with_bases())
+    @settings(max_examples=80, deadline=None)
+    def test_memoized_inverse_is_the_reference(self, case):
+        _, program, bases = case
+        for basis in bases:
+            got = program.inverse(basis)
+            assert _same_bytes(got, _reference_inverse(program, basis))
+        for key, stored in program.inverses.items():
+            basis = np.frombuffer(key, dtype=int)
+            assert _same_bytes(stored, _reference_inverse(program, basis))
+
+    @given(case=programs_with_bases())
+    @settings(max_examples=60, deadline=None)
+    def test_mutating_a_returned_inverse_changes_no_lookup(self, case):
+        _, program, bases = case
+        for basis in bases:
+            first = program.inverse(basis)
+            if first is None:
+                continue
+            # The pivots update the inverse they are handed in place.
+            first[0, 0] += 1.0
+            first[:, -1] = np.nan
+            again = program.inverse(basis)
+            assert again is not first and again.flags.writeable
+            assert _same_bytes(again, _reference_inverse(program, basis))
+
+    @given(case=programs_with_bases(count=(0, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_singular_basis_is_none_and_not_stored(self, case):
+        lp, program, bases = case
+        for basis in bases:
+            program.inverse(basis)
+        before = dict(program.inverses)
+        basis = _singular_basis(lp)
+        assert _reference_inverse(program, basis) is None
+        assert program.inverse(basis) is None
+        assert program.inverses == before
+
+    @given(case=programs_with_bases(count=(4, 16)),
+           capacity=st.integers(0, 3), slack=st.integers(0, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_memo_keeps_its_byte_budget_dropping_the_oldest(
+        self, case, capacity, slack
+    ):
+        lp, _, bases = case
+        m = lp.a_ub.shape[0]
+        budget = capacity * m * m * 8 + slack
+        expected = {}
+        with mock.patch.object(sparse_mod, "_INVERSE_MEMO_BYTES", budget):
+            program = SparseProgram.compile(lp)
+            for basis in bases:
+                got = program.inverse(basis)
+                assert _same_bytes(got, _reference_inverse(program, basis))
+                key = basis.tobytes()
+                if got is not None and key not in expected and capacity:
+                    if len(expected) == capacity:
+                        del expected[next(iter(expected))]
+                    expected[key] = True
+                held = sum(v.nbytes for v in program.inverses.values())
+                assert held <= budget
+                assert list(program.inverses) == list(expected)
+
+    @given(pair=boxable_lp_pairs(), budget=_BUDGETS,
+           walk=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9)),
+                         min_size=3, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_revisited_bases_match_the_one_program_simplex(
+        self, pair, budget, walk
+    ):
+        # Each step solves one of three LPs on the compiled matrix from
+        # a token of an earlier step (or cold), so bases recur: the
+        # second visit's inverse comes from the memo.
+        first, second = pair
+        lps = (first, second, LinearProgram(c=first.c, a_ub=first.a_ub,
+                                            b_ub=second.b_ub))
+        program = SparseProgram.compile(first)
+        got_c, ref_c = InMemoryCollector(), InMemoryCollector()
+        tokens = [None]
+        for choice, source in walk:
+            lp = lps[choice]
+            token = tokens[source % len(tokens)]
+            got = program.solve(lp, state=token, collector=got_c,
+                                max_iterations=budget)
+            ref = _solve_sparse(lp, token, ref_c, budget)
+            _assert_same_solution(got, ref)
+            if ref.state is not None:
+                tokens.append(ref.state)
+        assert _sparse_counters(got_c) == _sparse_counters(ref_c)
+        # Whatever the pivots did, the memo holds fresh inverses only.
+        for key, stored in program.inverses.items():
+            basis = np.frombuffer(key, dtype=int)
+            assert _same_bytes(stored, _reference_inverse(program, basis))
+
+
+@st.composite
+def sparse_operands(draw):
+    """A matrix with empty rows and columns likely, and a vector."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = st.one_of(st.just(0.0), st.floats(-1e3, 1e3,
+                                               allow_nan=False))
+    dense = draw(arrays(float, (rows, cols), elements=values))
+    x = draw(arrays(float, cols, elements=st.floats(-1e3, 1e3,
+                                                    allow_nan=False)))
+    y = draw(arrays(float, rows, elements=st.floats(-1e3, 1e3,
+                                                    allow_nan=False)))
+    return dense, x, y
+
+
+class TestDirectKernels:
+    @given(operands=sparse_operands())
+    @example(operands=(np.zeros((3, 2)), np.ones(2), np.ones(3)))
+    @settings(max_examples=100, deadline=None)
+    def test_matvec_is_the_operator_byte_for_byte(self, operands):
+        dense, x, y = operands
+        csr = sparse.csr_matrix(dense)
+        for a, v in ((csr, x), (csr.tocsc(), x), (csr.T, y),
+                     (csr.T.tocsr(), y)):
+            assert _same_bytes(sparse_mod._matvec(a, v), a @ v)
+
+    @given(pair=boxable_lp_pairs(),
+           lower=arrays(float, 7, elements=st.floats(-2.0, 2.0)),
+           b_extra=arrays(float, 5, elements=st.sampled_from(
+               [np.inf, -np.inf, np.nan, 0.0, 1e308])))
+    @settings(max_examples=80, deadline=None)
+    def test_implied_bounds_fold_like_the_entry_loop(
+        self, pair, lower, b_extra
+    ):
+        first, second = pair
+        n, m = first.num_variables, first.a_ub.shape[0]
+        lo = lower[:n]
+        hi = np.where(lo > 1.0, lo + 1.0, np.inf)
+        bounds = ImpliedBounds.compile(first.a_ub, lo, hi)
+        b_odd = np.where(np.arange(m) % 2 == 0, b_extra[:m], second.b_ub)
+        for c, b_ub in ((first.c, first.b_ub), (second.c, second.b_ub),
+                        (first.c, b_odd)):
+            got = bounds.evaluate(c, b_ub)
+            ref = _implied_upper_reference(first.a_ub, lo, hi, c, b_ub)
+            assert _same_bytes(got, ref)

@@ -391,10 +391,14 @@ class TestCompiledSlotPath:
     def test_warm_slot_factors_once_and_builds_no_program(
         self, monkeypatch
     ):
-        # A warm slot restarts the compiled program: one np.linalg.inv
-        # for the token's basis, and no LinearProgram (only a HiGHS
-        # fallback would build one).
+        # A warm slot restarts the compiled program: at most one
+        # np.linalg.inv, for a token basis the program has not factored
+        # before, and no LinearProgram (only a HiGHS fallback would
+        # build one).  Over the day each distinct basis is inverted
+        # once; the program keeps its inverses across reset_warm_state,
+        # so a replayed day inverts nothing.
         counts = {"inv": 0, "programs": 0}
+        offered = []
         inside = [False]
         inv, post_init = np.linalg.inv, LinearProgram.__post_init__
         solve = SparseProgram.solve
@@ -408,6 +412,8 @@ class TestCompiledSlotPath:
             post_init(self)
 
         def traced_solve(*args, **kwargs):
+            state = kwargs.get("state")
+            offered.append(None if state is None else state.basis.tobytes())
             inside[0] = True
             try:
                 return solve(*args, **kwargs)
@@ -422,12 +428,29 @@ class TestCompiledSlotPath:
             opt = ProfitAwareOptimizer(
                 topo, config=OptimizerConfig(sparse=True)
             )
-            opt.plan_slot(*slots[0], slot_duration=duration)
-            for arrivals, prices in slots[1:]:
+            seen = set()
+            for day in range(2):
+                opt.reset_warm_state()
                 counts.update(inv=0, programs=0)
-                opt.plan_slot(arrivals, prices, slot_duration=duration)
-                assert opt.last_stats.warm_start == "hit"
-                assert counts == {"inv": 1, "programs": 0}, multiplier
+                opt.plan_slot(*slots[0], slot_duration=duration)
+                assert opt.last_stats.warm_start == "cold"
+                assert counts == {"inv": 0, "programs": 0}
+                inverted = 0
+                for arrivals, prices in slots[1:]:
+                    counts.update(inv=0, programs=0)
+                    opt.plan_slot(arrivals, prices, slot_duration=duration)
+                    assert opt.last_stats.warm_start == "hit"
+                    basis = offered[-1]
+                    assert counts == {
+                        "inv": int(basis not in seen), "programs": 0,
+                    }, (multiplier, day)
+                    inverted += counts["inv"]
+                    seen.add(basis)
+                if day == 0:
+                    # Some basis recurs within the day and costs nothing.
+                    assert 1 <= inverted == len(seen) < len(slots) - 1
+                else:
+                    assert inverted == 0
 
     def test_section6_day_restarts_warm_from_slot_one(self):
         # One program, one token: slot 0 starts cold and every later
