@@ -34,14 +34,17 @@ from repro.analysis.report import (
     worst_exit_code,
     write_baseline,
 )
-from repro.cli_registry import register_subcommand
+from repro.cli_registry import (
+    SCENARIOS,
+    register_subcommand,
+    scenario_experiment,
+)
 
 __all__ = ["CHECK_NAMES", "run_checks"]
 
 #: ``repro check`` order: cheap AST passes first, solver-backed last.
 CHECK_NAMES = tuple(target.command for target in TARGETS)
 
-_SCENARIOS = ("section5", "section6", "section7")
 _DEFAULT_PATHS = ["src"]
 _DEFAULT_API_BASELINE = "API_SURFACE.json"
 
@@ -83,7 +86,7 @@ def _add_baseline(parser: argparse.ArgumentParser) -> None:
 
 def _add_scenario(parser: argparse.ArgumentParser, help_text: str) -> None:
     parser.add_argument(
-        "--scenario", choices=list(_SCENARIOS), default="section6",
+        "--scenario", choices=SCENARIOS, default="section6",
         help=help_text,
     )
 
@@ -244,15 +247,7 @@ def _experiment(scenario: str, flag: str, value: int, first: int = 0) -> Any:
     """
     if value < first:
         raise ValueError(f"{flag} must be >= {first} (got {value})")
-    if scenario == "section5":
-        from repro.experiments.section5 import section5_experiment
-        exp = section5_experiment("low")
-    elif scenario == "section6":
-        from repro.experiments.section6 import section6_experiment
-        exp = section6_experiment()
-    else:
-        from repro.experiments.section7 import section7_experiment
-        exp = section7_experiment()
+    exp = scenario_experiment(scenario)
     last = exp.trace.num_slots - 1 + first
     if value > last:
         raise ValueError(

@@ -40,9 +40,11 @@ import sys
 from typing import Any, List, Optional
 
 from repro.cli_registry import (
+    SCENARIOS,
     get_subcommand,
     register_subcommand,
     registered_subcommands,
+    scenario_experiment,
 )
 from repro.utils.ascii_plot import line_chart, sparkline
 from repro.utils.tables import render_table
@@ -281,20 +283,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_experiment(scenario: str) -> Any:
-    if scenario == "section5":
-        from repro.experiments.section5 import section5_experiment
-        return section5_experiment("low")
-    if scenario == "section6":
-        from repro.experiments.section6 import section6_experiment
-        return section6_experiment()
-    from repro.experiments.section7 import section7_experiment
-    return section7_experiment()
-
-
 def _configure_trace(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario",
-                        choices=["section5", "section6", "section7"],
+                        choices=SCENARIOS,
                         default="section6",
                         help="experiment to trace (default: the 24-slot "
                              "§VI day)")
@@ -344,7 +335,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    exp = _trace_experiment(args.scenario)
+    exp = scenario_experiment(args.scenario)
     config = OptimizerConfig(level_method=args.level_method,
                              lp_method=args.lp_method,
                              sparse=args.sparse,

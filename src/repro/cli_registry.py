@@ -11,19 +11,25 @@ modules import it at module scope without dragging the scientific
 stack in, and ``repro.cli`` imports *them* for the registration side
 effect.  Registration is idempotent per function object, so repeated
 imports and repeated ``build_parser()`` calls are safe.
+
+The commands that take ``--scenario`` share :data:`SCENARIOS` and
+:func:`scenario_experiment`, which imports the one experiment module it
+builds when called.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
+    "SCENARIOS",
     "Subcommand",
     "get_subcommand",
     "register_subcommand",
     "registered_subcommands",
+    "scenario_experiment",
 ]
 
 RunFunc = Callable[[argparse.Namespace], int]
@@ -81,3 +87,22 @@ def registered_subcommands() -> List[Subcommand]:
 def get_subcommand(name: str) -> Subcommand:
     """Look up one subcommand; raises ``KeyError`` when unknown."""
     return _REGISTRY[name]
+
+
+#: The experiments a ``--scenario`` flag names.
+SCENARIOS = ("section5", "section6", "section7")
+
+
+def scenario_experiment(scenario: str) -> Any:
+    """The default experiment of one :data:`SCENARIOS` name.
+
+    ``section5`` is the §V study at its low regime.
+    """
+    if scenario == "section5":
+        from repro.experiments.section5 import section5_experiment
+        return section5_experiment("low")
+    if scenario == "section6":
+        from repro.experiments.section6 import section6_experiment
+        return section6_experiment()
+    from repro.experiments.section7 import section7_experiment
+    return section7_experiment()

@@ -10,7 +10,7 @@ read-only :class:`TopologyArrays` record (:attr:`CloudTopology.arrays`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Dict, Iterator, Sequence, Tuple
 
@@ -266,6 +266,27 @@ class CloudTopology:
         """Copy with every data center resized to ``num_servers`` servers."""
         return self.with_datacenters(
             [dc.with_servers(num_servers) for dc in self.datacenters]
+        )
+
+    def per_server(self) -> "CloudTopology":
+        """Copy in which every server is its own one-server data center.
+
+        Server ``i`` of data center ``l`` becomes data center
+        ``"<name>#srv<i>"``, with every other field and the distances of
+        ``l``, in flat server order; data centers without servers drop
+        out.  The aggregated slot formulation on this topology is the
+        per-server one of the paper's Table I, and its plans share this
+        topology's flat server axis.
+        """
+        return CloudTopology(
+            request_classes=self.request_classes,
+            frontends=self.frontends,
+            datacenters=tuple(
+                replace(dc, name=f"{dc.name}#srv{i}", num_servers=1)
+                for dc in self.datacenters
+                for i in range(dc.num_servers)
+            ),
+            distances=self.distances[:, self.arrays.dc_of_server],
         )
 
 

@@ -46,7 +46,13 @@ class OptimizerConfig:
         warm restart of the one compiled fixed-level LP; traced as
         ``method="levels"``), and per-server ones by the MILP.
     formulation:
-        ``"aggregated"`` or ``"per_server"``.
+        ``"aggregated"`` or ``"per_server"``.  Both solve the
+        aggregated LP or MILP; ``"per_server"`` solves it on
+        :meth:`CloudTopology.per_server
+        <repro.cloud.topology.CloudTopology.per_server>`, every server
+        its own data center, which is the paper's per-server layout.
+        The sparse path (``sparse=True``) always solves the original
+        topology's aggregated LP and expands its plan per server.
     lp_method:
         LP backend: ``"highs"``, ``"simplex"``, or ``"ipm"``.
     milp_method:
@@ -71,12 +77,11 @@ class OptimizerConfig:
         symmetry collapse of identical servers (per-server plans are
         solved on the aggregated formulation and expanded afterwards),
         and one slot LP compiled once and solved every slot by a
-        dual-simplex warm restart from the previous slot's basis
-        (RHS-only when only arrivals changed).  Produces the
-        same plans and objectives as the dense path (pinned at 1e-6 in
-        the property suite); the MILP/big-M/greedy level methods and
-        the fallback chain's alternate backends keep using the dense
-        solvers.  The exact level search of ``level_method="auto"``
+        dual-simplex warm restart from the previous slot's basis.
+        Produces the same plans and objectives as the dense path
+        (pinned at 1e-6 in the property suite); the MILP/big-M/greedy
+        level methods and the fallback chain's alternate backends keep
+        using the dense solvers.  The exact level search of ``level_method="auto"``
         always runs on the compiled program, whatever this flag says.
     collector:
         Telemetry sink (see :mod:`repro.obs`); the default

@@ -1,21 +1,23 @@
 """Slot-problem builders: the paper's constrained optimization (Eq. 5-8).
 
-Two interchangeable formulations are provided:
+The builders take one variable layout, the **aggregated** one: because
+servers within a data center are homogeneous and all constraints are
+linear, any feasible solution can be symmetrized across a data center's
+servers without changing the objective, so it suffices to decide
+per-data-center totals ``lambda_{k,s,l}`` and total share mass
+``Phi_{k,l} in [0, M_l]`` with the delay constraint
+``Phi*C*mu - Lambda >= M_l / D_k``.
 
-* **per-server** (paper-faithful): decision variables are
-  ``lambda_{k,s,i,l}`` and ``phi_{k,i,l}`` for every physical server,
-  exactly as in the paper's Table I;
-* **aggregated** (fast path): because servers within a data center are
-  homogeneous and all constraints are linear, any feasible solution can
-  be symmetrized across a data center's servers without changing the
-  objective, so it suffices to decide per-data-center totals
-  ``lambda_{k,s,l}`` and total share mass ``Phi_{k,l} in [0, M_l]`` with
-  the delay constraint ``Phi*C*mu - Lambda >= M_l / D_k``.  Tests verify
-  both formulations reach the same optimum for fixed-level problems.
-  For *multi-level* TUFs the equivalence is level-wise only: the
-  aggregated MILP targets one level per (class, data center) while the
-  per-server layout may mix levels across a data center's servers, so
-  the per-server optimum can be marginally higher.
+The paper's **per-server** layout (``lambda_{k,s,i,l}`` and
+``phi_{k,i,l}`` for every physical server, Table I) is the aggregated
+one on :meth:`CloudTopology.per_server
+<repro.cloud.topology.CloudTopology.per_server>`, where every server is
+its own data center (``M = 1``).  Tests verify both layouts reach the
+same optimum for fixed-level problems.  For *multi-level* TUFs the
+equivalence is level-wise only: the aggregated MILP targets one level
+per (class, data center) while the per-server layout may mix levels
+across a data center's servers, so the per-server optimum can be
+marginally higher.
 
 For one-level TUFs (or any *fixed* level assignment) the problem is the
 LP of paper §IV-1.  For multi-level TUFs the level choice is encoded
@@ -243,45 +245,6 @@ def _aggregated_csr(
     )
 
 
-def _per_server_csr(
-    K: int, S: int, N: int, dc_of: np.ndarray,
-    mu: np.ndarray, cap: np.ndarray,
-) -> "_sp.csr_matrix":
-    """CSR constraint matrix of the per-server layout, built vectorized.
-
-    The dense per-server matrix is ``O((K*N + N + K*S) * (K*S*N + K*N))``
-    — roughly a gigabyte at 1800 servers — while its nonzero count is
-    only ``K*N*(S+1) + N*K + K*S*N``; this builder never materializes
-    the zeros.
-    """
-    n_lam = K * S * N
-    n_vars = n_lam + K * N
-    k = np.repeat(np.arange(K), N)  # delay-row class index, row-major
-    n = np.tile(np.arange(N), K)
-    lam_cols = (k[:, None] * S + np.arange(S)[None, :]) * N + n[:, None]
-    phi_cols = (n_lam + k * N + n)[:, None]
-    delay_cols = np.concatenate([lam_cols, phi_cols], axis=1)
-    coeff = -(cap[dc_of[n]] * mu[k, dc_of[n]])
-    delay_data = np.concatenate(
-        [np.ones((K * N, S)), coeff[:, None]], axis=1
-    )
-    share_cols = n_lam + (np.arange(K)[None, :] * N + np.arange(N)[:, None])
-    arr_cols = np.arange(K * S)[:, None] * N + np.arange(N)[None, :]
-    indices = np.concatenate(
-        [delay_cols.ravel(), share_cols.ravel(), arr_cols.ravel()]
-    )
-    data = np.concatenate(
-        [delay_data.ravel(), np.ones(N * K), np.ones(K * S * N)]
-    )
-    counts = np.concatenate(
-        [np.full(K * N, S + 1), np.full(N, K), np.full(K * S, N)]
-    )
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return _sp.csr_matrix(
-        (data, indices, indptr), shape=(K * N + N + K * S, n_vars)
-    )
-
-
 def _level_tables(
     topology: CloudTopology,
     levels: np.ndarray,
@@ -295,23 +258,20 @@ def _level_tables(
     ``delay_factor / D`` is the same constraint as a mean-delay deadline
     of ``D / delay_factor``.
     """
-    k_count, l_count = topology.num_classes, topology.num_datacenters
-    utilities = np.empty((k_count, l_count))
-    deadlines = np.empty((k_count, l_count))
+    classes = topology.request_classes
+    sizes = np.array([rc.tuf.num_levels for rc in classes])[:, None]
+    bad = np.argwhere((levels < 0) | (levels >= sizes))
+    if bad.size:
+        k, l = bad[0]
+        raise ValueError(
+            f"level {int(levels[k, l])} out of range for class "
+            f"{classes[k].name!r} ({int(sizes[k, 0])} levels)"
+        )
+    arrays = topology.arrays
+    rows = np.arange(len(classes))[:, None]
     scale = deadline_scale * (1.0 - DEADLINE_SAFETY) / delay_factor
-    for k, rc in enumerate(topology.request_classes):
-        values = rc.tuf.values
-        subdeadlines = rc.tuf.deadlines
-        for l in range(l_count):
-            q = int(levels[k, l])
-            if not 0 <= q < values.size:
-                raise ValueError(
-                    f"level {q} out of range for class {rc.name!r} "
-                    f"({values.size} levels)"
-                )
-            utilities[k, l] = values[q]
-            deadlines[k, l] = subdeadlines[q] * scale
-    return utilities, deadlines
+    return (arrays.tuf_values[rows, levels],
+            arrays.tuf_deadlines[rows, levels] * scale)
 
 
 class FixedLevelLPCache:
@@ -340,23 +300,14 @@ class FixedLevelLPCache:
     it is densified once for the dense backends.
     """
 
-    def __init__(
-        self,
-        topology: CloudTopology,
-        per_server: bool = False,
-        sparse: bool = False,
-    ) -> None:
+    def __init__(self, topology: CloudTopology, sparse: bool = False) -> None:
         self.topology = topology
-        self.per_server = bool(per_server)
         self.sparse = bool(sparse)
-        if self.per_server:
-            self._build_per_server_structure()
-        else:
-            self._build_aggregated_structure()
+        self._build_structure()
 
     # --------------------------------------------------------- structure
 
-    def _build_aggregated_structure(self) -> None:
+    def _build_structure(self) -> None:
         topo = self.topology
         K, S, L = topo.num_classes, topo.num_frontends, topo.num_datacenters
         M = topo.servers_per_datacenter.astype(float)  # (L,)
@@ -392,43 +343,6 @@ class FixedLevelLPCache:
 
         self._decoder: Decoder = decoder
 
-    def _build_per_server_structure(self) -> None:
-        topo = self.topology
-        K, S = topo.num_classes, topo.num_frontends
-        N = topo.num_servers
-        dc_of = np.empty(N, dtype=int)
-        offsets = topo.server_offsets()
-        for l, _dc in enumerate(topo.datacenters):
-            dc_of[offsets[l]:offsets[l + 1]] = l
-        mu = topo.service_rates  # (K, L)
-        cap = topo.server_capacities  # (L,)
-        n_lam = K * S * N
-        n_vars = n_lam + K * N
-        self._n_lam = n_lam
-        self._n_vars = n_vars
-        self._dc_of = dc_of
-
-        # Rows: delay per (k, n) (sum_s lam - phi*C*mu <= -1/D), shares
-        # per server (sum_k phi <= 1), arrivals (sum_n lam <= lambda).
-        a_ub = _per_server_csr(K, S, N, dc_of, mu, cap)
-        self._a_ub = a_ub if self.sparse else a_ub.toarray()
-
-        upper = np.full(n_vars, np.inf)
-        upper[n_lam:] = 1.0
-        self._upper = upper
-
-        b = np.empty(self._a_ub.shape[0])
-        b[K * N:K * N + N] = 1.0
-        self._b_template = b
-
-        def decoder(x: np.ndarray) -> DispatchPlan:
-            lam = x[:n_lam].reshape(K, S, N)
-            phi = x[n_lam:].reshape(K, N)
-            phi = _normalize_shares(phi)
-            return DispatchPlan(topology=topo, rates=lam, shares=phi)
-
-        self._decoder = decoder
-
     # -------------------------------------------------------------- build
 
     def build(
@@ -459,16 +373,10 @@ class FixedLevelLPCache:
         T = inputs.slot_duration
 
         c = np.zeros(self._n_vars)
+        c[:self._n_lam] = (-T * net).ravel()  # minimize -profit
         b = self._b_template.copy()
-        if self.per_server:
-            N = topo.num_servers
-            c[:self._n_lam] = (-T * net[:, :, self._dc_of]).ravel()
-            b[:K * N] = (-1.0 / deadlines[:, self._dc_of]).ravel()
-            b[K * N + N:] = inputs.arrivals.ravel()
-        else:
-            c[:self._n_lam] = (-T * net).ravel()  # minimize -profit
-            b[:K * L] = (-self._M / deadlines).ravel()
-            b[K * L + L:] = inputs.arrivals.ravel()
+        b[:K * L] = (-self._M / deadlines).ravel()
+        b[K * L + L:] = inputs.arrivals.ravel()
 
         lp = LinearProgram(c=c, a_ub=self._a_ub, b_ub=b, upper=self._upper)
         return lp, self._decoder
@@ -476,14 +384,11 @@ class FixedLevelLPCache:
     def level_fill(self, inputs: SlotInputs) -> "LevelFill":
         """One slot's LP with its level tables, for a level search.
 
-        Aggregated layout only.  The LP is :meth:`build`'s; the slot's
-        ``(K, S, L)`` costs and its per-level utility and effective
-        sub-deadline tables are computed here, once;
-        :meth:`LevelFill.fill` then sets the LP to any partial level
-        vector.
+        The LP is :meth:`build`'s; the slot's ``(K, S, L)`` costs and
+        its per-level utility and effective sub-deadline tables are
+        computed here, once; :meth:`LevelFill.fill` then sets the LP to
+        any partial level vector.
         """
-        if self.per_server:
-            raise ValueError("a level fill needs the aggregated layout")
         lp, decoder = self.build(inputs)
         return LevelFill(inputs, lp, decoder)
 
@@ -578,7 +483,6 @@ class LevelFill:
 def fixed_level_lp(
     inputs: SlotInputs,
     levels: Optional[np.ndarray] = None,
-    per_server: bool = False,
     sparse: bool = False,
 ) -> Tuple[LinearProgram, Decoder]:
     """Build the slot LP for a fixed TUF-level assignment.
@@ -595,9 +499,6 @@ def fixed_level_lp(
         ``(K, L)`` integer level targeted per class per data center;
         ``None`` targets level 0 everywhere (the only choice for
         one-level TUFs — paper §IV-1's plain LP).
-    per_server:
-        Use the paper-faithful per-server variable layout instead of the
-        aggregated one.
     sparse:
         Build the constraint matrix as a ``scipy.sparse`` CSR matrix
         (same coefficients, same layout) instead of a dense ndarray.
@@ -608,10 +509,9 @@ def fixed_level_lp(
         ``lp`` minimizes *negative* net profit; ``decoder`` maps an LP
         solution vector to a :class:`DispatchPlan`.
     """
-    cache = FixedLevelLPCache(
-        inputs.topology, per_server=per_server, sparse=sparse
+    return FixedLevelLPCache(inputs.topology, sparse=sparse).build(
+        inputs, levels=levels
     )
-    return cache.build(inputs, levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -924,32 +824,17 @@ def multilevel_milp(
 # Shared decoding helpers
 # ---------------------------------------------------------------------------
 
-def _normalize_shares(phi: np.ndarray) -> np.ndarray:
-    """Scale down columns whose share sum drifted above 1 numerically."""
-    totals = phi.sum(axis=0)
-    over = totals > 1.0
-    if np.any(over):
-        phi = phi.copy()
-        phi[:, over] /= totals[over][None, :]
-    return phi
-
-
 def _expand_symmetric(
     topo: CloudTopology, lam: np.ndarray, phi_total: np.ndarray
 ) -> DispatchPlan:
-    """Expand an aggregated solution symmetrically over each DC's servers."""
-    K, S = topo.num_classes, topo.num_frontends
-    N = topo.num_servers
-    rates = np.zeros((K, S, N))
-    shares = np.zeros((K, N))
-    offsets = topo.server_offsets()
-    for l, dc in enumerate(topo.datacenters):
-        m = dc.num_servers
-        if m == 0:
-            # Zero-server data centers contribute no columns; their
-            # aggregated load is forced to 0 by the delay rows.
-            continue
-        sl = slice(offsets[l], offsets[l + 1])
-        rates[:, :, sl] = lam[:, :, l][:, :, None] / m
-        shares[:, sl] = phi_total[:, l][:, None] / m
+    """Expand an aggregated solution symmetrically over each DC's servers.
+
+    Zero-server data centers contribute no columns; their aggregated
+    load is forced to 0 by the delay rows.
+    """
+    counts = topo.servers_per_datacenter
+    hosted = counts > 0
+    m = counts[hosted]
+    rates = np.repeat(lam[:, :, hosted] / m, m, axis=2)
+    shares = np.repeat(phi_total[:, hosted] / m, m, axis=1)
     return DispatchPlan(topology=topo, rates=rates, shares=shares)

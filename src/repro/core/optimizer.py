@@ -20,17 +20,20 @@ Solve paths:
 Formulations: ``"aggregated"`` (fast, provably equivalent given
 homogeneous servers per data center) or ``"per_server"``
 (paper-faithful variable layout; also used by the Fig. 11 computation-
-time study since its size grows with the server count).
+time study since its size grows with the server count).  Both build
+the same aggregated LP and MILP: ``"per_server"`` builds them on
+:meth:`CloudTopology.per_server`, where every server is its own data
+center, and reads the plan back onto the original topology.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cloud.datacenter import DataCenter
 from repro.cloud.topology import CloudTopology
 from repro.core.baselines import BalancedDispatcher
 from repro.core.bigm import solve_slot_bigm
@@ -73,35 +76,6 @@ __all__ = ["OptimizerConfig", "ProfitAwareOptimizer"]
 #: name) and the certifier's capture (``None`` when the stage produced
 #: no certifiable problem).
 _StageResult = Tuple[DispatchPlan, Dict[str, Any], Optional[Dict]]
-
-
-def _explode_topology(topology: CloudTopology) -> CloudTopology:
-    """Rewrite the topology so each physical server is its own 1-server DC.
-
-    The aggregated formulation on the exploded topology *is* the
-    per-server formulation on the original one, so every solve path
-    (including the MILP) gains a per-server variant for free.  Flat
-    server ordering is preserved, so plans fold back unchanged.
-    """
-    datacenters = []
-    distances_cols = []
-    for l, dc in enumerate(topology.datacenters):
-        for i in range(dc.num_servers):
-            datacenters.append(DataCenter(
-                name=f"{dc.name}#srv{i}",
-                num_servers=1,
-                service_rates=dc.service_rates,
-                energy_per_request=dc.energy_per_request,
-                server_capacity=dc.server_capacity,
-                pue=dc.pue,
-            ))
-            distances_cols.append(topology.distances[:, l])
-    return CloudTopology(
-        request_classes=topology.request_classes,
-        frontends=topology.frontends,
-        datacenters=tuple(datacenters),
-        distances=np.stack(distances_cols, axis=1),
-    )
 
 
 class ProfitAwareOptimizer:
@@ -164,7 +138,9 @@ class ProfitAwareOptimizer:
         self._sparse_cache: Optional[FixedLevelLPCache] = None
         self._sparse_program: Optional[SparseProgram] = None
         self._sparse_state: Optional[SolverState] = None
-        self._exploded_topology: Optional[CloudTopology] = None
+        # Under formulation="per_server": every server its own data
+        # center (built once, on first use; see _formulated).
+        self._per_server_topology: Optional[CloudTopology] = None
         # Last-resort fallback dispatcher (built lazily, topology-static).
         self._baseline: Optional[BalancedDispatcher] = None
         # Cross-slot solver state (cleared by reset_warm_state).
@@ -529,16 +505,46 @@ class ProfitAwareOptimizer:
 
     # -------------------------------------------------------------- private
 
+    def _formulated(self, inputs: SlotInputs) -> SlotInputs:
+        """``inputs`` on the topology the configured formulation solves.
+
+        Under ``formulation="per_server"`` that is
+        :meth:`CloudTopology.per_server`, with each server at its data
+        center's price: the aggregated LP and MILP there are the paper's
+        per-server formulation.  Otherwise ``inputs`` itself, also when
+        no server is up: such a fleet has no per-server layout, and its
+        aggregated program dispatches nothing, as a per-server one
+        would.  :meth:`_on_topology` takes a plan back.
+        """
+        if (self.config.formulation != "per_server"
+                or not self.topology.num_servers):
+            return inputs
+        if self._per_server_topology is None:
+            self._per_server_topology = self.topology.per_server()
+        return replace(
+            inputs,
+            topology=self._per_server_topology,
+            prices=np.repeat(
+                inputs.prices, self.topology.servers_per_datacenter
+            ),
+        )
+
+    def _on_topology(self, plan: DispatchPlan) -> DispatchPlan:
+        """``plan`` on the optimizer's topology; a plan on
+        :meth:`_formulated`'s shares its flat server axis."""
+        if plan.topology is self.topology:
+            return plan
+        return DispatchPlan(
+            topology=self.topology, rates=plan.rates, shares=plan.shares
+        )
+
     def _build_lp(
         self, inputs: SlotInputs, levels: Optional[np.ndarray] = None
     ) -> Tuple[LinearProgram, Decoder]:
-        per_server = self.config.formulation == "per_server"
         if not self.config.warm_start:
-            return fixed_level_lp(inputs, levels=levels, per_server=per_server)
+            return fixed_level_lp(inputs, levels=levels)
         if self._lp_cache is None:
-            self._lp_cache = FixedLevelLPCache(
-                self.topology, per_server=per_server
-            )
+            self._lp_cache = FixedLevelLPCache(inputs.topology)
         return self._lp_cache.build(inputs, levels=levels)
 
     def _solve_lp(
@@ -559,7 +565,7 @@ class ProfitAwareOptimizer:
         lp_method = lp_method if lp_method is not None else config.lp_method
         use_warm = config.warm_start and not override
         t0 = time.perf_counter()
-        lp, decoder = self._build_lp(inputs)
+        lp, decoder = self._build_lp(self._formulated(inputs))
         t1 = time.perf_counter()
         state = self._lp_state if use_warm else None
         solution = solve_lp(
@@ -575,7 +581,7 @@ class ProfitAwareOptimizer:
             self._lp_state = solution.state
         fields = self._solved(lp, solution, state is not None,
                               build=t1 - t0, solve=t2 - t1)
-        plan = decoder(solution.x)
+        plan = self._on_topology(decoder(solution.x))
         payload = None
         if config.certify != "off":
             payload = {"problem": lp, "solution": solution, "plan": plan}
@@ -762,24 +768,8 @@ class ProfitAwareOptimizer:
         milp_method = (milp_method if milp_method is not None
                        else config.milp_method)
         use_warm = config.warm_start and not override
-        per_server = config.formulation == "per_server"
-        if per_server:
-            if self._exploded_topology is None:
-                self._exploded_topology = _explode_topology(self.topology)
-            exploded = self._exploded_topology
-            inputs = SlotInputs(
-                topology=exploded,
-                arrivals=inputs.arrivals,
-                prices=np.repeat(
-                    inputs.prices, self.topology.servers_per_datacenter
-                ),
-                slot_duration=inputs.slot_duration,
-                apply_pue=inputs.apply_pue,
-                deadline_scale=inputs.deadline_scale,
-                delay_factor=inputs.delay_factor,
-            )
         t0 = time.perf_counter()
-        mip, decoder = self._build_milp(inputs)
+        mip, decoder = self._build_milp(self._formulated(inputs))
         t1 = time.perf_counter()
         state = self._milp_state if use_warm else None
         solution = solve_milp(
@@ -793,21 +783,15 @@ class ProfitAwareOptimizer:
             )
         if use_warm:
             self._milp_state = solution.state
-        plan = decoder(solution.x)
-        if per_server:
-            plan = DispatchPlan(
-                topology=self.topology,
-                rates=plan.rates,
-                shares=plan.shares,
-            )
+        plan = self._on_topology(decoder(solution.x))
         fields = self._solved(mip.lp, solution, state is not None,
                               build=t1 - t0, solve=t2 - t1)
         payload = None
         if config.certify != "off":
-            # ``plan`` is re-wrapped on the original topology, so the
-            # CT051 profit identity scores it against the original slot
-            # inputs; the MILP itself certifies in its own (possibly
-            # exploded) space.
+            # ``plan`` is on the original topology, so the CT051 profit
+            # identity scores it against the original slot inputs; the
+            # MILP itself certifies in its own (possibly per-server)
+            # space.
             payload = {"problem": mip, "solution": solution, "plan": plan}
         return plan, fields, payload
 
@@ -827,6 +811,15 @@ class ProfitAwareOptimizer:
         for k in range(K):
             q = topo.request_classes[k].tuf.num_levels
             sizes.extend([q] * L)
+        # Levels are searched per (class, data center); on the per-server
+        # topology every server takes its data center's level.
+        lp_inputs = self._formulated(inputs)
+        repeats = (np.ones(L, dtype=int) if lp_inputs is inputs
+                   else topo.servers_per_datacenter)
+
+        def lp_levels(vector: Tuple[int, ...]) -> np.ndarray:
+            levels = np.asarray(vector, dtype=int).reshape(K, L)
+            return np.repeat(levels, repeats, axis=1)
 
         best_plan: Dict[Tuple[int, ...], DispatchPlan] = {}
         best_solution: Dict[Tuple[int, ...], Solution] = {}
@@ -835,8 +828,9 @@ class ProfitAwareOptimizer:
 
         def evaluate(levels_flat: Tuple[int, ...]) -> float:
             nonlocal num_variables, num_constraints
-            levels = np.asarray(levels_flat, dtype=int).reshape(K, L)
-            lp, decoder = self._build_lp(inputs, levels=levels)
+            lp, decoder = self._build_lp(
+                lp_inputs, levels=lp_levels(levels_flat)
+            )
             num_variables, num_constraints = (lp.num_variables,
                                               lp.num_constraints)
             state = None
@@ -888,17 +882,17 @@ class ProfitAwareOptimizer:
             "warm_start": self._warm_outcome(initial is not None, warm_used),
             "phase_times": {"build": 0.0, "solve": time.perf_counter() - t0},
         }
+        plan = self._on_topology(best_plan[vector])
         payload = None
         if config.certify != "off":
             # The warm-start cache refills one shared LP object in
             # place, so whatever ``evaluate`` last built may not be the
             # winner's problem — rebuild the winning level vector's LP
             # for the certificate.
-            winner_levels = np.asarray(vector, dtype=int).reshape(K, L)
-            winner_lp, _ = self._build_lp(inputs, levels=winner_levels)
+            winner_lp, _ = self._build_lp(lp_inputs, levels=lp_levels(vector))
             payload = {
                 "problem": winner_lp,
                 "solution": best_solution[vector],
-                "plan": best_plan[vector],
+                "plan": plan,
             }
-        return best_plan[vector], fields, payload
+        return plan, fields, payload

@@ -63,7 +63,7 @@ def slot_sensitivity(
     """
     topo = inputs.topology
     K, S, L = topo.num_classes, topo.num_frontends, topo.num_datacenters
-    lp, _ = fixed_level_lp(inputs, levels=levels, per_server=False)
+    lp, _ = fixed_level_lp(inputs, levels=levels)
     solution = solve_lp(lp, method="highs")
     if not solution.ok:
         raise SolverError(
@@ -73,9 +73,9 @@ def slot_sensitivity(
     if marginals is None:
         raise SolverError("LP backend returned no dual values")
 
-    # Row layout of the aggregated LP (see formulation._fixed_level_lp_
-    # aggregated): K*L delay rows, then L share rows, then K*S arrival
-    # rows.  Marginals are d(min obj)/d(rhs); profit = -obj.
+    # Row layout of the slot LP (see formulation.FixedLevelLPCache): K*L
+    # delay rows, then L share rows, then K*S arrival rows.  Marginals
+    # are d(min obj)/d(rhs); profit = -obj.
     delay_duals = -marginals[: K * L].reshape(K, L)
     share_duals = -marginals[K * L: K * L + L]
     arrival_duals = -marginals[K * L + L:].reshape(K, S)

@@ -14,7 +14,12 @@ __all__ = ["ProfitLedger"]
 
 @dataclass
 class ProfitLedger:
-    """Per-slot dollar accounting for one dispatcher run."""
+    """Per-slot dollar accounting for one dispatcher run.
+
+    ``energy_costs`` holds each slot's processing plus idle energy
+    dollars, as ``energy_kwh`` holds both draws' kWh; the totals then
+    agree with the slots' ``NetProfitBreakdown.net_profit``.
+    """
 
     revenues: List[float] = field(default_factory=list)
     energy_costs: List[float] = field(default_factory=list)
@@ -24,7 +29,7 @@ class ProfitLedger:
     def record(self, outcome: NetProfitBreakdown) -> None:
         """Append one slot's outcome."""
         self.revenues.append(outcome.revenue)
-        self.energy_costs.append(outcome.energy_cost)
+        self.energy_costs.append(outcome.energy_cost + outcome.idle_cost)
         self.transfer_costs.append(outcome.transfer_cost)
         self.energy_kwh.append(outcome.energy_kwh)
 
@@ -49,7 +54,7 @@ class ProfitLedger:
 
     @property
     def total_cost(self) -> float:
-        """Total energy + transfer dollars over the run."""
+        """Total energy (processing and idle) + transfer dollars."""
         return float(np.sum(self.energy_costs) + np.sum(self.transfer_costs))
 
     @property

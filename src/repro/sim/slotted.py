@@ -83,7 +83,7 @@ class SimulationResult:
 
     @property
     def total_cost(self) -> float:
-        """Total dollars spent (energy + transfer)."""
+        """Total dollars spent (processing and idle energy + transfer)."""
         return self.ledger.total_cost
 
     @property

@@ -21,12 +21,12 @@ the CSR constraint matrices built by
   cold-start arrays.  :meth:`SparseProgram.solve` accepts every LP that
   :meth:`~SparseProgram.matches` them and reads only its ``c`` and
   ``b_ub``.
-* a **warm restart** — when a program's objective is bit-identical to
-  the one its :class:`~repro.solvers.base.SolverState` token was taken
-  at, the saved optimal basis is still dual feasible and the dual
-  simplex restarts from it directly (RHS-only); when the objective
-  changed, nonbasic variables are flipped to their dual-feasible bound
-  first.  Only a restart whose point is not yet optimal pivots.
+* a **warm restart** — the dual simplex restarts from the saved
+  optimal basis of a :class:`~repro.solvers.base.SolverState` token,
+  with nonbasic variables flipped to the bound their reduced cost
+  prefers, which makes the basis dual feasible again whatever changed
+  in ``c`` or in the boxes.  Only a restart whose point is not yet
+  optimal pivots.
 * **paid once per basis** — a basis inverse depends only on the basis
   and the compiled matrix, so the program memoizes fresh inverses
   (:meth:`SparseProgram.inverse`): a restart from a basis the program
@@ -377,7 +377,7 @@ class SparseProgram:
         that token serves (see :func:`_restart`) and pivots only when
         the restart's point is not optimal.  An optimum carries the row
         duals and a ``method="sparse"`` token, which enables the
-        RHS-only re-solve of the next slot; an iteration limit is
+        warm restart of the next slot; an iteration limit is
         returned as is.  Everything else — and any numerical failure or
         infeasibility claim of the direct solver — is delegated to
         HiGHS, which consumes the sparse matrix without densifying.
@@ -581,8 +581,13 @@ def _warm_start(
     ``None`` (start cold) unless the token's method, signature, shapes,
     index range and basic statuses check out, no nonbasic sits at an
     infinite upper bound, the basis factors (neither singular nor
-    non-finite) and, when the token's dual differs from ``c``, no
-    nonbasic must flip onto an infinite bound.
+    non-finite) and no nonbasic must flip onto an infinite bound.
+
+    The flip runs on every restart, also when ``c`` is the token's: a
+    nonbasic that its box fixed at the token's solve (say, every
+    dispatch variable of an arrival row capped at 0) may sit at either
+    bound with a reduced cost of either sign, and a box that opens
+    since then would leave the restart dual infeasible.
     """
     n, m = program.n, program.m
     if (
@@ -612,30 +617,25 @@ def _warm_start(
     binv = program.inverse(basis)
     if binv is None:
         return None
-    duals = None
-    dual = state.dual
-    if dual is None or not _equal(np.asarray(dual), c):
-        # Objective changed: re-establish dual feasibility by flipping
-        # nonbasic variables onto the bound their new reduced cost
-        # prefers (a bound flip moves no basis).
-        y = c_ext[basis] @ binv
-        d = c_ext.copy()
-        d[:n] -= _matvec(program.transpose, y)
-        d[n:] -= y
-        flip_up = (vstat == _AT_LOWER) & (d < -_TOL)
-        flip_down = (vstat == _AT_UPPER) & (d > _TOL)
-        # A flip onto an infinite bound starts cold (a boxed program has
-        # finite lower bounds, so only an upper one can be).
-        if np.count_nonzero(flip_up & unbounded):
-            return None
-        vstat[flip_up] = _AT_UPPER
-        vstat[flip_down] = _AT_LOWER
-        duals = (y, d)
+    # Re-establish dual feasibility by flipping nonbasic variables onto
+    # the bound their reduced cost prefers (a bound flip moves no basis).
+    y = c_ext[basis] @ binv
+    d = c_ext.copy()
+    d[:n] -= _matvec(program.transpose, y)
+    d[n:] -= y
+    flip_up = (vstat == _AT_LOWER) & (d < -_TOL)
+    flip_down = (vstat == _AT_UPPER) & (d > _TOL)
+    # A flip onto an infinite bound starts cold (a boxed program has
+    # finite lower bounds, so only an upper one can be).
+    if np.count_nonzero(flip_up & unbounded):
+        return None
+    vstat[flip_up] = _AT_UPPER
+    vstat[flip_down] = _AT_LOWER
     return _Restart(
         program=program, c=c, b_ub=b_ub, c_ext=c_ext, upper=upper,
         upper_at=np.where(finite, upper, 0.0),
         basis=basis, vstat=vstat, binv=binv, warm=True, limit=0,
-        duals=duals,
+        duals=(y, d),
     )
 
 

@@ -14,7 +14,11 @@ import json
 import sys
 from typing import Any, Dict
 
-from repro.cli_registry import register_subcommand
+from repro.cli_registry import (
+    SCENARIOS,
+    register_subcommand,
+    scenario_experiment,
+)
 
 __all__ = ["add_stream_arguments", "run_stream"]
 
@@ -22,7 +26,7 @@ __all__ = ["add_stream_arguments", "run_stream"]
 def add_stream_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the stream options to a (sub)parser."""
     parser.add_argument(
-        "--scenario", choices=["section5", "section6", "section7"],
+        "--scenario", choices=SCENARIOS,
         default="section6",
         help="experiment supplying workload/market (default: the §VI day)",
     )
@@ -64,17 +68,6 @@ def add_stream_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_experiment(scenario: str) -> Any:
-    if scenario == "section5":
-        from repro.experiments.section5 import section5_experiment
-        return section5_experiment("low")
-    if scenario == "section6":
-        from repro.experiments.section6 import section6_experiment
-        return section6_experiment()
-    from repro.experiments.section7 import section7_experiment
-    return section7_experiment()
-
-
 @register_subcommand(
     "stream",
     help_text="streaming control plane: sub-slot ticks, policy-driven "
@@ -99,7 +92,7 @@ def run_stream(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    exp = _build_experiment(args.scenario)
+    exp = scenario_experiment(args.scenario)
     controller = StreamingController(
         exp.optimizer(), exp.trace, exp.market,
         make_policy(args.policy),

@@ -90,9 +90,13 @@ class TestFixedLevelLP:
         assert out.net_profit == pytest.approx(-sol.objective, rel=1e-6)
 
     def test_aggregated_equals_per_server(self, small_topology):
+        # The per-server layout is the aggregated LP on the per-server
+        # topology, each server at its data center's price.
         inputs = slot_inputs(small_topology, arrival=60.0)
-        lp_a, _ = fixed_level_lp(inputs, per_server=False)
-        lp_p, _ = fixed_level_lp(inputs, per_server=True)
+        per_server = slot_inputs(small_topology.per_server(), arrival=60.0)
+        lp_a, _ = fixed_level_lp(inputs)
+        lp_p, _ = fixed_level_lp(per_server)
+        assert lp_p.num_variables == 5 * lp_a.num_variables // 2
         obj_a = solve_lp(lp_a).require_ok().objective
         obj_p = solve_lp(lp_p).require_ok().objective
         assert obj_a == pytest.approx(obj_p, rel=1e-8)

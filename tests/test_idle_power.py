@@ -8,6 +8,8 @@ import pytest
 from repro.core.objective import evaluate_plan
 from repro.core.optimizer import OptimizerConfig, ProfitAwareOptimizer
 from repro.core.rightsizing import consolidate_plan
+from repro.experiments.section6 import section6_experiment
+from repro.sim.slotted import run_simulation
 
 
 def with_idle(topology, idle_kw):
@@ -91,3 +93,21 @@ class TestIdlePowerMakesConsolidationPay:
                 - evaluate_plan(spread, arrivals, prices).net_profit
             )
         assert gains[1] > gains[0] > 0
+
+
+class TestLedgerCountsIdleCost:
+    def test_run_totals_match_the_slot_outcomes(self):
+        # The ledger's totals are the sums of the slots' outcomes, idle
+        # dollars included.
+        exp = section6_experiment()
+        topo = with_idle(exp.topology, idle_kw=0.2)
+        result = run_simulation(ProfitAwareOptimizer(topo), exp.trace,
+                                exp.market, num_slots=6)
+        outcomes = [record.outcome for record in result.records]
+        assert sum(outcome.idle_cost for outcome in outcomes) > 0.0
+        assert result.total_net_profit == pytest.approx(
+            float(result.net_profit_series.sum()), rel=1e-12)
+        assert result.total_cost == pytest.approx(
+            sum(outcome.total_cost for outcome in outcomes), rel=1e-12)
+        assert np.allclose(result.ledger.net_profits,
+                           result.net_profit_series, rtol=1e-12, atol=0.0)

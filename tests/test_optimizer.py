@@ -1,10 +1,14 @@
 """Tests for ProfitAwareOptimizer (all solve paths and formulations)."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from repro.cloud.datacenter import DataCenter
 from repro.core.objective import evaluate_plan
-from repro.core.optimizer import OptimizerConfig, ProfitAwareOptimizer, _explode_topology
+from repro.core.optimizer import OptimizerConfig, ProfitAwareOptimizer
+from repro.sim.failures import degraded_topology
 
 
 def profits(topology, optimizer, arrivals, prices):
@@ -183,19 +187,64 @@ class TestConsolidation:
 
 
 class TestExplodeTopology:
+    """``CloudTopology.per_server``: the topology the per-server
+    formulation solves on."""
+
     def test_structure(self, small_topology):
-        exploded = _explode_topology(small_topology)
+        exploded = small_topology.per_server()
         assert exploded.num_datacenters == small_topology.num_servers
         assert all(dc.num_servers == 1 for dc in exploded.datacenters)
         assert exploded.num_classes == small_topology.num_classes
+        assert [dc.name for dc in exploded.datacenters] == [
+            "dc1#srv0", "dc1#srv1", "dc1#srv2", "dc2#srv0", "dc2#srv1",
+        ]
 
     def test_distances_replicated(self, small_topology):
-        exploded = _explode_topology(small_topology)
+        exploded = small_topology.per_server()
         # First 3 columns replicate dc1's distances, last 2 dc2's.
         assert np.allclose(exploded.distances[:, 0],
                            small_topology.distances[:, 0])
         assert np.allclose(exploded.distances[:, 4],
                            small_topology.distances[:, 1])
+
+    def test_keeps_every_datacenter_field(self, small_topology):
+        # Every field but the name and the server count carries over,
+        # idle power included.
+        topo = small_topology.with_datacenters([
+            replace(dc, server_capacity=1.5 + l, pue=1.2 + l,
+                    idle_power_kw=0.2 + l)
+            for l, dc in enumerate(small_topology.datacenters)
+        ])
+        exploded = topo.per_server()
+        dc_of = topo.arrays.dc_of_server
+        for n, dc in enumerate(exploded.datacenters):
+            source = topo.datacenters[dc_of[n]]
+            for f in fields(DataCenter):
+                if f.name not in ("name", "num_servers"):
+                    assert np.array_equal(getattr(dc, f.name),
+                                          getattr(source, f.name)), f.name
+
+    def test_full_outage_plans_nothing(self, small_topology):
+        # A fleet without a server up has no per-server topology; the
+        # per-server formulation still plans the slot, dispatching
+        # nothing, as the aggregated one does.
+        topo = degraded_topology(small_topology, [0, 0])
+        for method in ("lp", "milp", "greedy"):
+            opt = ProfitAwareOptimizer(topo, config=OptimizerConfig(
+                formulation="per_server", level_method=method))
+            plan = opt.plan_slot(np.full((2, 2), 10.0), np.array([0.1, 0.2]))
+            assert plan.rates.size == 0
+            assert opt.last_stats.fallback == 0
+            assert opt.last_stats.objective == 0.0
+
+    def test_optimizer_builds_it_once(self, small_topology):
+        opt = ProfitAwareOptimizer(small_topology, config=OptimizerConfig(
+            formulation="per_server"))
+        opt.plan_slot(np.full((2, 2), 10.0), np.array([0.1, 0.2]))
+        built = opt._per_server_topology
+        opt.plan_slot(np.full((2, 2), 20.0), np.array([0.2, 0.1]))
+        assert opt._per_server_topology is built
+        assert opt.last_stats.num_variables == 5 * 2 * 2 + 5 * 2
 
 
 class TestLastStats:

@@ -144,6 +144,38 @@ SERVERLESS_DC_CASE = (
      for arrival in (1.0, 1e-10, 0.0)],
 )
 
+#: Slot 1's zero arrivals box every dispatch variable at 0, so its
+#: optimal basis may hold one at either bound; slot 2 opens ``c0``'s
+#: box at ``fe0``.  A warm restart that skipped the bound flip because
+#: ``c`` was unchanged stopped at a point that was not optimal: warm
+#: -0.0 against cold 19.79.
+BOX_OPENING_CASE = (
+    CloudTopology(
+        request_classes=(
+            RequestClass(
+                "c0", StepDownwardTUF(values=[20.0, 19.0],
+                                      deadlines=[0.015625, 0.03125]),
+                transfer_unit_cost=0.000832729962819131,
+            ),
+            RequestClass(
+                "c1", StepDownwardTUF(values=[20.0], deadlines=[0.003]),
+                transfer_unit_cost=1e-05,
+            ),
+        ),
+        frontends=(FrontEnd("fe0"), FrontEnd("fe1")),
+        datacenters=tuple(
+            DataCenter(f"dc{l}", num_servers=count,
+                       service_rates=np.array([3000.0, 3000.0]),
+                       energy_per_request=np.array([1.0, 1.0]))
+            for l, count in enumerate([1, 0])
+        ),
+        distances=np.full((2, 2), 100.0),
+    ),
+    [(np.array(arrivals), np.array([0.125, 0.125]))
+     for arrivals in ([[1.0, 0.0], [0.0, 2635.0]], [[0.0, 0.0], [0.0, 0.0]],
+                      [[1.0, 0.0], [0.0, 0.0]])],
+)
+
 
 def _level_vectors(topology):
     L = topology.num_datacenters
@@ -185,6 +217,7 @@ class TestLevelSearchIsExact:
 
     @given(case=warm_cold_cases())
     @example(case=SERVERLESS_DC_CASE)
+    @example(case=BOX_OPENING_CASE)
     @settings(max_examples=15, deadline=None)
     def test_warm_equals_cold(self, case):
         topology, sequence = case

@@ -26,7 +26,11 @@ from repro.cloud.datacenter import DataCenter
 from repro.cloud.frontend import FrontEnd
 from repro.cloud.topology import CloudTopology
 from repro.core.config import OptimizerConfig
-from repro.core.formulation import FixedLevelLPCache, SlotInputs
+from repro.core.formulation import (
+    DEADLINE_SAFETY,
+    FixedLevelLPCache,
+    SlotInputs,
+)
 from repro.core.objective import evaluate_plan
 from repro.core.optimizer import ProfitAwareOptimizer
 from repro.core.request import RequestClass
@@ -179,9 +183,10 @@ def slot_sequences(draw, topology, num_slots=2):
 def _loop_a_ub(topology, per_server):
     """The fixed-level constraint matrix built entry by entry.
 
-    The reference the vectorized CSR builders of ``FixedLevelLPCache``
-    are pinned to.  The aggregated layout is the per-server one with
-    one "server" per data center.
+    The reference the vectorized CSR builder of ``FixedLevelLPCache`` is
+    pinned to, on ``topology`` and on ``topology.per_server()``.  The
+    aggregated layout is the per-server one with one "server" per data
+    center.
     """
     K, S = topology.num_classes, topology.num_frontends
     mu, cap = topology.service_rates, topology.server_capacities
@@ -213,31 +218,80 @@ def _loop_a_ub(topology, per_server):
     return a
 
 
+def _loop_vectors(inputs, per_server):
+    """The one-level slot LP's ``c``, ``b_ub`` and ``upper``, entry by entry.
+
+    Built from the original topology's per-data-center data, so the
+    per-server layout (``per_server=True``) reads each server's cost,
+    share budget and deadline off its data center, as the paper's
+    Table I does.
+    """
+    topology = inputs.topology
+    K, S, L = (topology.num_classes, topology.num_frontends,
+               topology.num_datacenters)
+    M = topology.servers_per_datacenter.astype(float)
+    if per_server:
+        dc_of = np.repeat(np.arange(L), topology.servers_per_datacenter)
+        budget = np.ones(dc_of.size)
+    else:
+        dc_of = np.arange(L)
+        budget = M
+    N = dc_of.size
+    n_lam = K * S * N
+    cost = inputs.cost_per_request()  # (K, S, L)
+    scale = (inputs.deadline_scale * (1.0 - DEADLINE_SAFETY)
+             / inputs.delay_factor)
+    T = inputs.slot_duration
+    c = np.zeros(n_lam + K * N)
+    b = np.zeros(K * N + N + K * S)
+    upper = np.full(n_lam + K * N, np.inf)
+    for k, rc in enumerate(topology.request_classes):
+        utility = rc.tuf.values[0]
+        deadline = rc.tuf.deadlines[0] * scale
+        for n in range(N):
+            b[k * N + n] = -budget[n] / deadline
+            upper[n_lam + k * N + n] = budget[n]
+            for s in range(S):
+                c[(k * S + s) * N + n] = -T * (utility - cost[k, s, dc_of[n]])
+                if M[dc_of[n]] == 0:
+                    upper[(k * S + s) * N + n] = 0.0
+    b[K * N:K * N + N] = budget
+    b[K * N + N:] = inputs.arrivals.ravel()
+    return c, b, upper
+
+
 class TestSparseMatrixEquivalence:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_csr_cache_equals_dense_cache(self, data):
+        # The per-server layout is the aggregated one on the per-server
+        # topology, with each server at its data center's price.
         topology = data.draw(random_topologies())
         slots = data.draw(slot_sequences(topology))
+        servers = topology.servers_per_datacenter
         for per_server in (False, True):
             reference = _loop_a_ub(topology, per_server)
-            dense_cache = FixedLevelLPCache(topology, per_server=per_server)
-            sparse_cache = FixedLevelLPCache(
-                topology, per_server=per_server, sparse=True
-            )
+            built = topology.per_server() if per_server else topology
+            dense_cache = FixedLevelLPCache(built)
+            sparse_cache = FixedLevelLPCache(built, sparse=True)
             for arrivals, prices in slots:
                 inputs = SlotInputs(topology=topology, arrivals=arrivals,
                                     prices=prices)
+                c, b, upper = _loop_vectors(inputs, per_server)
+                if per_server:
+                    inputs = replace(inputs, topology=built,
+                                     prices=np.repeat(prices, servers))
                 dense_lp, _ = dense_cache.build(inputs)
                 sparse_lp, _ = sparse_cache.build(inputs)
                 assert isinstance(dense_lp.a_ub, np.ndarray)
                 assert sparse.issparse(sparse_lp.a_ub)
                 assert _same_bytes(dense_lp.a_ub, reference)
                 assert _same_bytes(sparse_lp.a_ub.toarray(), reference)
-                assert np.array_equal(dense_lp.b_ub, sparse_lp.b_ub)
-                assert np.array_equal(dense_lp.c, sparse_lp.c)
+                for lp in (dense_lp, sparse_lp):
+                    assert _same_bytes(lp.c, c)
+                    assert _same_bytes(lp.b_ub, b)
+                    assert _same_bytes(lp.upper, upper)
                 assert np.array_equal(dense_lp.lower, sparse_lp.lower)
-                assert np.array_equal(dense_lp.upper, sparse_lp.upper)
 
 
 class TestSparseSolverEquivalence:
@@ -413,8 +467,8 @@ def _restore_state(
     n: int,
     m: int,
     upper: np.ndarray,
-) -> Optional[Tuple[np.ndarray, np.ndarray, bool]]:
-    """Validate a warm-start token; return (basis, vstat, rhs_only)."""
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Validate a warm-start token; return (basis, vstat)."""
     if (
         state is None
         or state.method != "sparse"
@@ -435,12 +489,7 @@ def _restore_state(
     at_upper = vstat[:n] == _AT_UPPER
     if np.any(at_upper & ~np.isfinite(upper[:n])):
         return None
-    rhs_only = (
-        state.dual is not None
-        and np.asarray(state.dual).shape == lp.c.shape
-        and bool(np.array_equal(state.dual, lp.c))
-    )
-    return basis.copy(), vstat.copy(), rhs_only
+    return basis.copy(), vstat.copy()
 
 
 def _dual_simplex(
@@ -491,28 +540,29 @@ def _dual_simplex(
     binv: Optional[np.ndarray] = None
     restored = _restore_state(state, lp, n, m, upper)
     if restored is not None:
-        basis, vstat, rhs_only = restored
+        basis, vstat = restored
         binv = _basis_inverse(ac, basis, n, m)
         if binv is not None:
             warm_used = True
-            if not rhs_only:
-                # Objective changed: re-establish dual feasibility by
-                # flipping nonbasic variables onto the bound their new
-                # reduced cost prefers (a bound flip moves no basis).
-                y = c_ext[basis] @ binv
-                d = c_ext.copy()
-                d[:n] -= at @ y
-                d[n:] -= y
-                flip_up = (vstat == _AT_LOWER) & (d < -_TOL)
-                flip_down = (vstat == _AT_UPPER) & (d > _TOL)
-                if np.any(flip_up & ~np.isfinite(upper)) or np.any(
-                    flip_down & ~np.isfinite(lower)
-                ):
-                    binv = None
-                    warm_used = False
-                else:
-                    vstat[flip_up] = _AT_UPPER
-                    vstat[flip_down] = _AT_LOWER
+            # Re-establish dual feasibility by flipping nonbasic
+            # variables onto the bound their reduced cost prefers (a
+            # bound flip moves no basis), also when c is the token's: a
+            # box that opened since may leave a nonbasic at the wrong
+            # bound.
+            y = c_ext[basis] @ binv
+            d = c_ext.copy()
+            d[:n] -= at @ y
+            d[n:] -= y
+            flip_up = (vstat == _AT_LOWER) & (d < -_TOL)
+            flip_down = (vstat == _AT_UPPER) & (d > _TOL)
+            if np.any(flip_up & ~np.isfinite(upper)) or np.any(
+                flip_down & ~np.isfinite(lower)
+            ):
+                binv = None
+                warm_used = False
+            else:
+                vstat[flip_up] = _AT_UPPER
+                vstat[flip_down] = _AT_LOWER
     if binv is None:
         # Cold start: all-slack basis, nonbasics at their dual-feasible
         # bound.  Boxing guarantees the c<0 variables have one.

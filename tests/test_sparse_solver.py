@@ -602,14 +602,16 @@ class TestSparseFormulationScale:
         # structure-driven (nonzeros only).  At fleet_100x scale the old
         # dense row/column iteration took minutes; the CSR version runs
         # the whole pass in well under the budget below.
+        # The per-server layout: every one of the 1800 servers is its
+        # own data center, at its data center's price.
         topo = _small_topology().with_servers_per_datacenter(900)
         inputs = SlotInputs(
-            topo,
+            topo.per_server(),
             arrivals=np.array([[500.0, 300.0], [200.0, 400.0]]),
-            prices=np.array([0.05, 0.08]),
+            prices=np.repeat([0.05, 0.08], 900),
         )
         start = time.perf_counter()
-        lp, _ = fixed_level_lp(inputs, per_server=True, sparse=True)
+        lp, _ = fixed_level_lp(inputs, sparse=True)
         from repro.analysis import Finding
         from repro.analysis.model.matrix import analyze_program, matrix_details
 
@@ -633,13 +635,16 @@ class TestSparseFormulationScale:
             arrivals=np.array([[500.0, 300.0], [200.0, 400.0]]),
             prices=np.array([0.05, 0.08]),
         )
-        for per_server in (False, True):
-            dense_lp, _ = FixedLevelLPCache(
-                topo, per_server=per_server
-            ).build(inputs)
+        per_server = SlotInputs(
+            topo.per_server(),
+            arrivals=inputs.arrivals,
+            prices=np.repeat(inputs.prices, topo.servers_per_datacenter),
+        )
+        for slot in (inputs, per_server):
+            dense_lp, _ = FixedLevelLPCache(slot.topology).build(slot)
             sparse_lp, _ = FixedLevelLPCache(
-                topo, per_server=per_server, sparse=True
-            ).build(inputs)
+                slot.topology, sparse=True
+            ).build(slot)
             assert sparse.issparse(sparse_lp.a_ub)
             assert np.array_equal(dense_lp.a_ub,
                                   sparse_lp.a_ub.toarray())
